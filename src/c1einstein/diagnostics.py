@@ -196,17 +196,13 @@ def characteristic_numbers(sr: SolutionReport, n_panels=24, n_nodes=12) -> Topol
 
     def density(f, df):
         # f, df shape (n, 3)
-        out = np.empty((2, len(f)))
-        for m in range(len(f)):
-            L, R, _ = core.lr_from_frame(f[m], df[m])
-            A, B = core.ab_coeffs(L, R)
-            a, b = core.curv_eigs(R, A, B)
-            wp = np.sum((a - lam / 3.0) ** 2)
-            wm = np.sum((b - lam / 3.0) ** 2)
-            vol = V * np.prod(f[m])
-            out[0, m] = (wp + wm + s2_term) * vol
-            out[1, m] = (wp - wm) * vol
-        return out
+        L, R, _ = core.lr_from_frame(f, df)
+        A, B = core.ab_coeffs(L, R)
+        a, b = core.curv_eigs(R, A, B)
+        wp = np.sum((a - lam / 3.0) ** 2, axis=-1)
+        wm = np.sum((b - lam / 3.0) ** 2, axis=-1)
+        vol = V * np.prod(f, axis=-1)
+        return np.stack([(wp + wm + s2_term) * vol, (wp - wm) * vol])
 
     def run(npan, nn):
         x, w = np.polynomial.legendre.leggauss(nn)

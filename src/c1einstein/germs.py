@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FrameState
+from .core import FrameState, J, K
 
 __all__ = [
     "GroupDiagram",
@@ -298,13 +298,10 @@ def _poly_residual(c, lam, L):
     f = c
     d = _pder(f)
     dd = _pder(d)
-    fj = np.roll(f, -1, axis=-2)
-    fk = np.roll(f, -2, axis=-2)
-    dj = np.roll(d, -1, axis=-2)
-    dk = np.roll(d, -2, axis=-2)
+    fj, fk = f[..., J, :], f[..., K, :]
+    dj, dk = d[..., J, :], d[..., K, :]
     f2 = _pmul(f, f, L)
-    fj2 = np.roll(f2, -1, axis=-2)
-    fk2 = np.roll(f2, -2, axis=-2)
+    fj2, fk2 = f2[..., J, :], f2[..., K, :]
     jk2 = _pmul(fj2, fk2, L)
     diff = fj2 - fk2
     term1 = _pmul(_pmul(dd, f, L), jk2, L)

@@ -8,7 +8,7 @@ time, at a collapse event (some f_i falls to the floor), at a blowup event
 (some f_i exceeds the ceiling), or on step-size failure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,24 +87,12 @@ class Trajectory:
         else:
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
             f, df = self.eval(ts)
-        n = len(ts)
-        out = {
-            "t": np.asarray(ts, dtype=float),
-            "f": f, "df": df,
-            "L": np.empty((n, 3)), "R": np.empty((n, 3)),
-            "A": np.empty((n, 3)), "B": np.empty((n, 3)),
-            "a": np.empty((n, 3)), "b": np.empty((n, 3)),
-            "constraint": np.empty(n),
-        }
-        for m in range(n):
-            L, R, _ = core.lr_from_frame(f[m], df[m])
-            A, B = core.ab_coeffs(L, R)
-            a, b = core.curv_eigs(R, A, B)
-            out["L"][m], out["R"][m] = L, R
-            out["A"][m], out["B"][m] = A, B
-            out["a"][m], out["b"][m] = a, b
-            out["constraint"][m] = core.constraint_residual(L, R, self.lam)
-        return out
+        L, R, _ = core.lr_from_frame(f, df)
+        A, B = core.ab_coeffs(L, R)
+        a, b = core.curv_eigs(R, A, B)
+        return {"t": np.asarray(ts, dtype=float), "f": f, "df": df,
+                "L": L, "R": R, "A": A, "B": B, "a": a, "b": b,
+                "constraint": core.constraint_residual(L, R, self.lam)}
 
 
 def rhs_vector(y, lam):
@@ -175,12 +163,13 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             continue
         err_vec = h * (_ERR @ K)
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(np.mean((err_vec / sc) ** 2))
+        err = np.sqrt(np.add.reduce((err_vec / sc) ** 2) / 6)
         if err <= 1.0:
             t_new = t + h
             k_new = K[6]
-            collapsed = np.min(y5[:3]) <= collapse_floor
-            blown = np.max(np.abs(y5[:3])) >= blowup_ceiling
+            f5 = y5[:3].tolist()
+            collapsed = min(f5) <= collapse_floor
+            blown = max(map(abs, f5)) >= blowup_ceiling
             if collapsed or blown:
                 if collapsed:
                     flip = lambda v: np.min(v[:3]) <= collapse_floor
@@ -197,7 +186,7 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
                 break
             t, y, k7 = t_new, y5, k_new
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)  # y5 is a fresh array each step
             dys.append(k7.copy())
             n_acc += 1
             if t >= t_target - 1e-14 * max(1.0, abs(t_target)):

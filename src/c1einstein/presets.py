@@ -33,10 +33,8 @@ _GUESSES = {
                          np.sqrt(20.0 / 3.0), 0.6, 1.1610341182282435],
 }
 
-# coarse scan windows around each guess, used by the CLI scan command
-_BOX_WIDTHS = {
-    "default": 0.3,
-}
+# relative width of the coarse scan window around each guess (CLI scan)
+_BOX_WIDTH = 0.3
 
 
 def initial_guess(case_id, k=0):
@@ -50,7 +48,7 @@ def initial_guess(case_id, k=0):
 def scan_box(case_id, k=0, width=None, n=3):
     """Grid of unknown vectors spanning a box around the shipped guess."""
     g = initial_guess(case_id, k)
-    w = _BOX_WIDTHS["default"] if width is None else width
+    w = _BOX_WIDTH if width is None else width
     axes = [np.linspace(v * (1 - w), v * (1 + w), n) if v != 0.0
             else np.linspace(-w, w, n) for v in g]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .germs import GermConstructionError, GroupDiagram, series_solve
-from .integrator import Trajectory, drift_report, integrate_germ, rhs_vector
+from .integrator import Trajectory, drift_report, integrate_germ
 
 __all__ = [
     "ShootingProblem",
@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _PENALTY = 1e3
+# (f, f') under t -> T - t
+_MIRROR = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 
 class AdmissibilityError(ValueError):
@@ -164,16 +166,12 @@ def _assemble(pr: ShootingProblem, u):
     trr = integrate_germ(gr, (1.0 - pr.theta) * T, **kw)
     if trl.reason != "reached_target" or trr.reason != "reached_target":
         raise NonConvergence("leg integration terminated before the match point")
-    t_left = trl.t
-    f_left, df_left = trl.f, trl.df
-    # right leg: global t = T - s, orientation flips df
+    # right leg: global t = T - s, orientation flips df and so f' in the
+    # slopes; f'' is even in df, so the stored slopes stay exact
     keep = trr.t < (1.0 - pr.theta) * T - 1e-12
-    t_right = (T - trr.t[keep])[::-1]
-    f_right = trr.f[keep][::-1]
-    df_right = -trr.df[keep][::-1]
-    t = np.concatenate([t_left, t_right])
-    y = np.concatenate([np.hstack([f_left, df_left]), np.hstack([f_right, df_right])])
-    dy = np.array([rhs_vector(row, pr.lam) for row in y])
+    t = np.concatenate([trl.t, (T - trr.t[keep])[::-1]])
+    y = np.concatenate([trl.y, trr.y[keep][::-1] * _MIRROR])
+    dy = np.concatenate([trl.dy, trr.dy[keep][::-1] * -_MIRROR])
     return Trajectory(t, y, dy, pr.lam, "reached_target",
                       trl.n_accepted + trr.n_accepted,
                       trl.n_rejected + trr.n_rejected), gl, gr
@@ -197,10 +195,12 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9, fd_step=1e-7,
             J[:, i] = (match_residual(pr, up) - r) / h
         return J
 
-    it = 0
-    for it in range(max_iter):
-        if norm < tol:
-            break
+    n_iter = 0
+    while not norm < tol:  # a NaN norm must not pass as converged
+        if n_iter == max_iter:
+            raise NonConvergence(
+                f"no convergence in {max_iter} iterations, "
+                f"|residual| = {norm:.3e}", u, norm)
         J = jacobian(u, r)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         lam_damp = 1.0
@@ -216,20 +216,15 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9, fd_step=1e-7,
             raise NonConvergence(
                 f"line search stalled at |residual| = {norm:.3e}", u, norm)
         if verbose:
-            print(f"  iter {it:2d}  |residual| = {norm:.3e}")
-    else:
-        # the final step may itself have reached the tolerance
-        if norm >= tol:
-            raise NonConvergence(
-                f"no convergence in {max_iter} iterations, "
-                f"|residual| = {norm:.3e}", u, norm)
+            print(f"  iter {n_iter:2d}  |residual| = {norm:.3e}")
+        n_iter += 1
     J = jacobian(u, r)
     rank = int(np.linalg.matrix_rank(J, tol=1e-8 * max(1.0, np.abs(J).max())))
     left, right, T = pr.split(u)
     traj, _, _ = _assemble(pr, u)
     report = SolutionReport(
         problem=pr, u=u, T=T, converged=True, residual=r,
-        residual_norm=float(norm), n_iter=it, jacobian_rank=int(rank),
+        residual_norm=float(norm), n_iter=n_iter, jacobian_rank=int(rank),
         trajectory=traj, left_free=left, right_free=right,
     )
     report.drift = drift_report(traj)

@@ -63,6 +63,35 @@ def test_lr_from_frame_round_values():
     assert np.isclose(S, 3 / np.tan(t))
 
 
+@pytest.mark.parametrize("i", range(3))
+@pytest.mark.parametrize("bad", [0.0, -0.5])
+def test_frame_rhs_rejects_nonpositive_component(i, bad):
+    f = [1.0, 1.0, 1.0]
+    f[i] = bad
+    with pytest.raises(ValueError, match=f"f_{i + 1}"):
+        core.frame_rhs(f, [0.0, 0.0, 0.0], 3.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_frame_rhs_underflow_gives_nan_not_an_exception():
+    # f_j f_k underflows to zero: numpy's inf/nan, never ZeroDivisionError
+    out = core.frame_rhs((1e-170,) * 3, (0.0, 0.0, 0.0), 3.0)
+    assert out.shape == (3,) and np.all(np.isnan(out))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_frame_rhs_overflow_values():
+    out = core.frame_rhs((1e200, 1e200, 1e-100), (1e200, 1.0, 1.0), 3.0)
+    assert np.array_equal(out, [-2e200, -3e200, 0.0])
+
+
+def test_frame_rhs_accepts_lists():
+    out = core.frame_rhs([1, 2, 3], [0, 1, -1], 3.0)
+    assert isinstance(out, np.ndarray) and out.dtype == float
+    assert np.array_equal(out, core.frame_rhs(np.array([1.0, 2.0, 3.0]),
+                                              np.array([0.0, 1.0, -1.0]), 3.0))
+
+
 # ---------------------------------------------------------------------------
 # closed-form profiles satisfy everything
 # ---------------------------------------------------------------------------
@@ -305,3 +334,35 @@ def test_uij_residual_antisymmetry_under_swap(fv, dfv):
     p = np.array([1, 0, 2])
     r_swapped = core.uij_residual(f[p], df[p], ddf[p])
     assert np.isclose(r_swapped[0], -r[0], atol=1e-10)
+
+
+@given(st.lists(st.tuples(st.tuples(pos, pos, pos), st.tuples(slope, slope, slope)),
+                min_size=1, max_size=8),
+       st.floats(min_value=-5.0, max_value=5.0))
+@settings(max_examples=60, deadline=None)
+def test_batch_equals_row_by_row(rows, lam):
+    """One call on an (n, 3) batch gives exactly the n single-triple results."""
+    f = np.array([r[0] for r in rows])
+    df = np.array([r[1] for r in rows])
+    L, R, S = core.lr_from_frame(f, df)
+    A, B = core.ab_coeffs(L, R)
+    a, b = core.curv_eigs(R, A, B)
+    c = core.constraint_residual(L, R, lam)
+    for m in range(len(rows)):
+        Lm, Rm, Sm = core.lr_from_frame(f[m], df[m])
+        Am, Bm = core.ab_coeffs(Lm, Rm)
+        am, bm = core.curv_eigs(Rm, Am, Bm)
+        for batch, row in ((L, Lm), (R, Rm), (S, Sm), (A, Am), (B, Bm), (a, am),
+                           (b, bm), (c, core.constraint_residual(Lm, Rm, lam))):
+            assert np.array_equal(batch[m], row)
+
+
+@given(st.tuples(pos, pos, pos), st.tuples(slope, slope, slope),
+       st.floats(min_value=-5.0, max_value=5.0))
+@settings(max_examples=100, deadline=None)
+def test_frame_rhs_is_the_lr_law(fv, dfv, lam):
+    """The scalar f'' is the L' law of lr_rhs, f_i (L_i' + L_i^2), exactly."""
+    f = np.array(fv)
+    L, R, _ = core.lr_from_frame(f, dfv)
+    assert np.array_equal(core.frame_rhs(fv, dfv, lam),
+                          f * (core.lr_rhs(L, R, lam)[0] + L**2))

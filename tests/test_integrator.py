@@ -43,6 +43,21 @@ def test_closed_form_tracking(orc, t0, t1):
     assert np.max(np.abs(df - prof.df(ts))) < 1e-8
 
 
+@pytest.mark.parametrize("orc,t0,t1", [("round_su2", 0.3, 2.8), ("fs_so3", 0.1, 1.0)])
+def test_agrees_with_scipy_dop853(orc, t0, t1):
+    """An independent integrator, scipy's DOP853 at rtol 1e-12, lands on the
+    same states at every accepted step."""
+    pytest.importorskip("scipy")
+    from scipy.integrate import solve_ivp
+
+    prof = oracle(orc, lam=3.0)
+    traj = integrate_frame(prof.f(t0), prof.df(t0), t0, t1, 3.0)
+    ref = solve_ivp(lambda t, y: rhs_vector(y, 3.0), (t0, t1), traj.y[0],
+                    method="DOP853", rtol=1e-12, atol=1e-14, t_eval=traj.t)
+    assert ref.success
+    assert np.max(np.abs(ref.y.T - traj.y)) < 1e-8
+
+
 def test_germ_launch_tracks_closed_form():
     prof = oracle("round_so3", lam=3.0)
     end = get_diagram("so3_s4").left

@@ -100,6 +100,20 @@ def test_recovery_from_perturbed_guess():
     assert np.max(np.abs(sr.u - exact)) < 1e-7
 
 
+def test_n_iter_counts_steps_when_the_last_step_converges():
+    # three Gauss-Newton steps from this guess; with max_iter=3 the third
+    # step converges as the budget runs out and must still count
+    pr = _problem("su2_cp2")
+    g = initial_guess("su2_cp2")
+    guess = g * (1 + 0.01 * np.random.default_rng(1).uniform(-1, 1, g.size))
+    free = solve(pr, guess)
+    capped = solve(pr, guess, max_iter=3)
+    assert free.n_iter == capped.n_iter == 3
+    assert np.array_equal(free.u, capped.u)
+    with pytest.raises(NonConvergence):
+        solve(pr, guess, max_iter=2)
+
+
 def test_round_solution_profile(solutions):
     sr = solutions("su2_s4")
     ts = np.linspace(0.05, sr.T - 0.05, 50)
