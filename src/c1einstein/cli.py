@@ -13,9 +13,9 @@ import sys
 
 import numpy as np
 
-from .diagnostics import (characteristic_numbers, eigen_gap_report,
-                          invariant_constants, kahler_detector,
-                          max_principle_check)
+from .diagnostics import (ConstantsUndefined, characteristic_numbers,
+                          eigen_gap_report, invariant_constants,
+                          kahler_detector, max_principle_check)
 from .germs import DIAGRAM_IDS, get_diagram
 from .presets import initial_guess, scan_box
 from .shooting import (AdmissibilityError, NonConvergence, ShootingProblem,
@@ -100,11 +100,8 @@ def emit(sr, out_dir):
         for name, val in sorted({**{f"left.{k}": v for k, v in sr.left_free.items()},
                                  **{f"right.{k}": v for k, v in sr.right_free.items()}}.items()):
             fh.write(f"{name} = {_fmt(val)}\n")
-        try:
-            for name, val in sorted(invariant_constants(sr).as_dict().items()):
-                fh.write(f"{name} = {_fmt(val)}\n")
-        except ValueError:
-            pass
+        for name, val in sorted(_constants(sr).items()):
+            fh.write(f"{name} = {_fmt(val)}\n")
 
     diag = {
         "diagram": sr.diagram.name,
@@ -118,7 +115,7 @@ def emit(sr, out_dir):
                        for k, v in _gap_summary(sr).items()},
         "kahler": kahler_detector(sr),
     }
-    if not (sr.diagram.case_id == "so3_hitchin" and sr.diagram.k >= 2):
+    if sr.diagram.chi_tau is not None:
         tr = characteristic_numbers(sr)
         diag["chi"] = tr.chi
         diag["tau"] = tr.tau
@@ -128,6 +125,14 @@ def emit(sr, out_dir):
         json.dump(diag, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
     return [csv_path, const_path, json_path]
+
+
+def _constants(sr):
+    """The endpoint constants, none for a diagram that defines none."""
+    try:
+        return invariant_constants(sr).as_dict()
+    except ConstantsUndefined:
+        return {}
 
 
 def _gap_summary(sr):
@@ -148,15 +153,7 @@ def read_solution_csv(path):
 
 def _problem(args, cfg):
     diagram = get_diagram(args.diagram, args.k)
-    kw = {}
-    if "theta" in cfg:
-        kw["theta"] = cfg["theta"]
-    if "germ_order" in cfg:
-        kw["germ_order"] = cfg["germ_order"]
-    if "rtol" in cfg:
-        kw["rtol"] = cfg["rtol"]
-    if "atol" in cfg:
-        kw["atol"] = cfg["atol"]
+    kw = {key: cfg[key] for key in ("theta", "germ_order", "rtol", "atol") if key in cfg}
     if args.tol is not None:
         kw["rtol"] = args.tol
         kw["atol"] = args.tol * 1e-2
@@ -219,20 +216,16 @@ def _verify(args, cfg):
                  f"{dr['max_constraint']:.3e}")
     ok &= _check("trace_drift", max(dr["max_trace_a"], dr["max_trace_b"]) < 1e-7,
                  f"{max(dr['max_trace_a'], dr['max_trace_b']):.3e}")
-    try:
-        consts = invariant_constants(sr).as_dict()
-        for name, val in sorted(consts.items()):
-            print(f"  {name} = {val:.6f}")
-    except ValueError:
-        consts = {}
+    for name, val in sorted(_constants(sr).items()):
+        print(f"  {name} = {val:.6f}")
     kd = kahler_detector(sr)
     print(f"  kahler: {str(kd['is_kahler']).lower()}")
     mp = max_principle_check(sr)
     worst = max(abs(v["eq_residual"]) for v in mp.values())
     ok &= _check("ratio_equation_extrema", worst < 1e-7, f"{worst:.3e}")
-    if not (sr.diagram.case_id == "so3_hitchin" and sr.diagram.k >= 2):
+    expect = sr.diagram.chi_tau
+    if expect is not None:
         tr = characteristic_numbers(sr)
-        expect = sr.diagram.chi_tau
         ok &= _check("chi", abs(tr.chi - expect[0]) < 1e-3, f"{tr.chi:.6f}")
         ok &= _check("tau", abs(tr.tau - expect[1]) < 1e-3, f"{tr.tau:.6f}")
     if args.out:
@@ -247,15 +240,12 @@ def _report(args, cfg):
     print(f"diagram   {sr.diagram.name}")
     print(f"lambda    {sr.lam:g}")
     print(f"T         {sr.T:.12g}")
-    try:
-        for name, val in sorted(invariant_constants(sr).as_dict().items()):
-            print(f"{name:<9s} {val:.12g}")
-    except ValueError:
-        pass
+    for name, val in sorted(_constants(sr).items()):
+        print(f"{name:<9s} {val:.12g}")
     g = _gap_summary(sr)
     print(f"a_spread  {g['a_spread']:.3e}")
     print(f"b_spread  {g['b_spread']:.3e}")
-    if not (sr.diagram.case_id == "so3_hitchin" and sr.diagram.k >= 2):
+    if sr.diagram.chi_tau is not None:
         tr = characteristic_numbers(sr)
         print(f"chi       {tr.chi:.9f}")
         print(f"tau       {tr.tau:.9f}")

@@ -14,6 +14,7 @@ from .shooting import SolutionReport
 
 __all__ = [
     "InvariantConstants",
+    "ConstantsUndefined",
     "ConeSpec",
     "TopologyReport",
     "invariant_constants",
@@ -70,42 +71,25 @@ class TopologyReport:
     node_doubling_change: float
 
 
-def _germs(sr: SolutionReport):
-    from .germs import series_solve
-
-    pr = sr.problem
-    gl = series_solve(pr.diagram.left, sr.left_free, pr.lam, order=pr.germ_order)
-    gr = series_solve(pr.diagram.right, sr.right_free, pr.lam, order=pr.germ_order)
-    return gl, gr
+class ConstantsUndefined(ValueError):
+    """The diagram has no end that fixes an endpoint constant."""
 
 
 def invariant_constants(sr: SolutionReport) -> InvariantConstants:
     """Endpoint constants read off the germ data (never from interior
-    samples, which would carry an O(eps) bias)."""
+    samples, which would carry an O(eps) bias).  Each end fixes the constant
+    its catalog entry names; the right end wins where both name the same."""
     lam = sr.lam
     d = sr.diagram
     vals = {}
     for end, free in ((d.left, sr.left_free), (d.right, sr.right_free)):
-        if end.kind == "mirror":
-            vals["alpha"] = lam * free["h"] ** 2
-        elif end.kind in ("circle",):
-            vals.setdefault("beta", lam * free["q"] ** 2)
-        elif end.kind == "even_pair":
-            vals["delta"] = 8.0 - lam * free["q"] ** 2
-        elif end.kind == "orbifold":
-            vals["beta"] = lam * free["q"] ** 2
+        if end.fixes is not None:
+            x = lam * free[end.free[0]] ** 2
+            vals[end.fixes] = 8.0 - x if end.fixes == "delta" else x
+        if end.k:  # only an orbifold end has a cone order
             vals["theta_k"] = 4.0 + 8.0 / end.k
-    # the conic end of so3_cp2 is a mirror end whose q is the pair value h
-    if d.case_id == "so3_cp2":
-        vals["beta"] = lam * sr.right_free["h"] ** 2
-        vals.pop("alpha", None)
-    # delta marks the two-sphere pairing specific to the product diagram
-    if d.case_id != "so3_s2xs2":
-        vals.pop("delta", None)
-    if d.case_id == "su2_cp2bar":
-        vals.pop("beta", None)  # no conic end; q here is a circle radius
     if not vals:
-        raise ValueError(f"no invariant constants defined for diagram {d.name}")
+        raise ConstantsUndefined(f"no invariant constants defined for diagram {d.name}")
     return InvariantConstants(**vals)
 
 
@@ -148,10 +132,10 @@ def cone_monitor(sr: SolutionReport, cone: ConeSpec, window=None):
 
 def kahler_detector(sr: SolutionReport, labeling=None, tol=1e-6):
     """Parallel-form test: sup norms of the two designated connection
-    coefficients.  labeling is ("B", 1, 2) or ("A", 1, 2); default picks the
-    B pair except on the S^2 x S^2 diagram where the A pair degenerates."""
+    coefficients.  labeling is ("B", 1, 2) or ("A", 1, 2); the default is
+    the diagram's catalog pair, the A pair on S^2 x S^2 and B elsewhere."""
     if labeling is None:
-        labeling = ("A", 1, 2) if sr.diagram.case_id == "so3_s2xs2" else ("B", 1, 2)
+        labeling = sr.diagram.kahler_pair
     target, i, j = labeling
     vals = sr.trajectory.diagnostics()[target]
     sup_i = float(np.max(np.abs(vals[:, i - 1])))
@@ -185,10 +169,10 @@ def characteristic_numbers(sr: SolutionReport, n_panels=24, n_nodes=12) -> Topol
     trajectory.
     """
     d = sr.diagram
-    if d.case_id == "so3_hitchin" and d.k >= 2:
+    if d.chi_tau is None:
         raise ValueError("characteristic numbers unsupported for orbifold cases")
     lam = sr.lam
-    gl, gr = _germs(sr)
+    gl, gr = sr.germs
     traj = sr.trajectory
     t_lo, t_hi = traj.t[0], traj.t[-1]
     V = d.orbit_volume

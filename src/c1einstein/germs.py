@@ -15,7 +15,7 @@ Coefficients the staircase cannot fix are the free germ parameters; they are
 the shooting unknowns.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -66,6 +66,8 @@ class EndCondition:
                      even and agree through order 2
       orbifold    -- Hitchin end with normal angle 2*pi/k: collapse slope 4/k,
                      even pair sum, pair difference starting at order k
+    fixes names the endpoint constant that the end's first free parameter
+    p determines: alpha = lam p^2, beta = lam p^2 or delta = 8 - lam p^2.
     Indices are 0-based internally.
     """
 
@@ -75,6 +77,7 @@ class EndCondition:
     pair: tuple  # (b, c); empty for fixed_point
     free: tuple  # free germ parameter names, in unknown-vector order
     k: int = 0
+    fixes: Optional[str] = None  # "alpha", "beta", "delta" or None
 
     @property
     def slopes(self):
@@ -91,11 +94,12 @@ class GroupDiagram:
     right: EndCondition
     orbit_volume: float  # volume of G/H with sigma_i orthonormal
     k: int = 0
-    chi_tau: Optional[tuple] = None  # expected (chi, tau) for the closed cases
+    chi_tau: Optional[tuple] = None  # expected (chi, tau); None for the orbifolds
+    kahler_pair: tuple = ("B", 1, 2)  # connection coefficients the Kaehler test reads
 
     @property
     def name(self):
-        return f"{self.case_id}(k={self.k})" if self.case_id == "so3_hitchin" else self.case_id
+        return f"{self.case_id}(k={self.k})" if self.k else self.case_id
 
 
 def _fixed_point():
@@ -103,11 +107,11 @@ def _fixed_point():
 
 
 def _mirror(a, b, c, slope=4.0):
-    return EndCondition("mirror", (a,), slope, (b, c), ("h", "c"))
+    return EndCondition("mirror", (a,), slope, (b, c), ("h", "c"), fixes="alpha")
 
 
 def _even_pair(a, b, c):
-    return EndCondition("even_pair", (a,), 2.0, (b, c), ("q", "d2"))
+    return EndCondition("even_pair", (a,), 2.0, (b, c), ("q", "d2"), fixes="delta")
 
 
 def _circle(a, b, c):
@@ -115,7 +119,7 @@ def _circle(a, b, c):
 
 
 def _orbifold(a, b, c, k):
-    return EndCondition("orbifold", (a,), 4.0 / k, (b, c), ("q", "w"), k=k)
+    return EndCondition("orbifold", (a,), 4.0 / k, (b, c), ("q", "w"), k=k, fixes="beta")
 
 
 def _build_catalog():
@@ -126,17 +130,24 @@ def _build_catalog():
         "so3_s4": GroupDiagram(
             "so3_s4", _mirror(0, 1, 2), _mirror(1, 2, 0), np.pi**2 / 4.0, chi_tau=(2, 0)
         ),
+        # the circle end is conic here; on su2_cp2bar q is only a circle radius
         "su2_cp2": GroupDiagram(
-            "su2_cp2", _fixed_point(), _circle(2, 0, 1), TWO_PI2, chi_tau=(3, 1)
+            "su2_cp2", _fixed_point(), replace(_circle(2, 0, 1), fixes="beta"),
+            TWO_PI2, chi_tau=(3, 1)
         ),
+        # the conic end is a mirror end whose pair value h fixes beta; delta
+        # belongs to the two-sphere pairing of the product diagram only
         "so3_cp2": GroupDiagram(
-            "so3_cp2", _even_pair(0, 1, 2), _mirror(2, 0, 1), np.pi**2 / 2.0, chi_tau=(3, 1)
+            "so3_cp2", replace(_even_pair(0, 1, 2), fixes=None),
+            replace(_mirror(2, 0, 1), fixes="beta"), np.pi**2 / 2.0, chi_tau=(3, 1)
         ),
         "su2_cp2bar": GroupDiagram(
             "su2_cp2bar", _circle(0, 1, 2), _circle(0, 1, 2), TWO_PI2, chi_tau=(4, 0)
         ),
+        # the Kaehler test reads the A pair on the product, the B pair elsewhere
         "so3_s2xs2": GroupDiagram(
-            "so3_s2xs2", _even_pair(2, 0, 1), _even_pair(0, 1, 2), np.pi**2, chi_tau=(4, 0)
+            "so3_s2xs2", _even_pair(2, 0, 1), _even_pair(0, 1, 2), np.pi**2,
+            chi_tau=(4, 0), kahler_pair=("A", 1, 2)
         ),
     }
     return cat
@@ -151,9 +162,7 @@ def get_diagram(case_id, k=0) -> GroupDiagram:
         if k < 1:
             raise ValueError("so3_hitchin requires k >= 1")
         if k == 1:
-            base = _CATALOG["so3_s4"]
-            return GroupDiagram("so3_hitchin", base.left, base.right,
-                                base.orbit_volume, k=1, chi_tau=base.chi_tau)
+            return replace(_CATALOG["so3_s4"], case_id="so3_hitchin", k=1)
         return GroupDiagram(
             "so3_hitchin", _mirror(0, 1, 2), _orbifold(1, 2, 0, k),
             np.pi**2 / 4.0, k=k,

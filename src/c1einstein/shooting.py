@@ -9,7 +9,8 @@ is a well-posed least-squares root find.
 """
 
 import concurrent.futures
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,13 +21,17 @@ from .integrator import Trajectory, drift_report, integrate_germ
 __all__ = [
     "ShootingProblem",
     "SolutionReport",
+    "Shot",
     "AdmissibilityError",
     "NonConvergence",
+    "shoot",
     "match_residual",
     "solve",
     "scan",
     "detect_equal_pairs",
 ]
+
+_log = logging.getLogger("c1einstein")
 
 _PENALTY = 1e3
 # (f, f') under t -> T - t
@@ -93,6 +98,17 @@ class ShootingProblem:
                     )
 
 
+@dataclass(frozen=True)
+class Shot:
+    """One evaluation of the unknowns: the (left, right) germs and legs and
+    the six match differences.  Germs and legs are empty when the unknowns
+    were rejected before integration."""
+
+    germs: tuple
+    legs: tuple
+    residual: np.ndarray
+
+
 @dataclass
 class SolutionReport:
     problem: ShootingProblem
@@ -106,8 +122,8 @@ class SolutionReport:
     trajectory: Optional[Trajectory]
     left_free: dict
     right_free: dict
-    drift: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    germs: tuple  # (left, right) series germs of the solution
+    drift: dict
 
     @property
     def diagram(self):
@@ -118,20 +134,9 @@ class SolutionReport:
         return self.problem.lam
 
 
-def _legs(pr: ShootingProblem, u):
-    left, right, T = pr.split(u)
-    gl = series_solve(pr.diagram.left, left, pr.lam, order=pr.germ_order)
-    gr = series_solve(pr.diagram.right, right, pr.lam, order=pr.germ_order)
-    tl = pr.theta * T
-    tr = (1.0 - pr.theta) * T
-    kw = dict(rtol=pr.rtol, atol=pr.atol, defect_target=pr.defect_target)
-    trl = integrate_germ(gl, tl, **kw)
-    trr = integrate_germ(gr, tr, **kw)
-    return gl, gr, trl, trr, tl, tr
-
-
-def match_residual(pr: ShootingProblem, u):
-    """Six differences of (f, f') where the two outward integrations meet.
+def shoot(pr: ShootingProblem, u) -> Shot:
+    """Build both germs, integrate both legs outward to the match point and
+    take the six differences of (f, f') there.
 
     Integration events (collapse, blowup) before the match point yield a
     finite penalty residual proportional to the shortfall, so scans remain
@@ -139,33 +144,39 @@ def match_residual(pr: ShootingProblem, u):
     """
     try:
         pr.check_admissible(u)
-        _, _, trl, trr, tl, tr = _legs(pr, u)
+        left, right, T = pr.split(u)
+        gl = series_solve(pr.diagram.left, left, pr.lam, order=pr.germ_order)
+        gr = series_solve(pr.diagram.right, right, pr.lam, order=pr.germ_order)
+        tl, tr = pr.theta * T, (1.0 - pr.theta) * T
+        kw = dict(rtol=pr.rtol, atol=pr.atol, defect_target=pr.defect_target)
+        trl = integrate_germ(gl, tl, **kw)
+        trr = integrate_germ(gr, tr, **kw)
     except (AdmissibilityError, GermConstructionError, ValueError):
-        return np.full(6, _PENALTY)
-    res = np.empty(6)
+        return Shot((), (), np.full(6, _PENALTY))
     short = 0.0
     for traj, t_need in ((trl, tl), (trr, tr)):
         if traj.reason != "reached_target":
             short += (t_need - traj.t_end) / max(t_need, 1e-300)
     if short > 0.0:
-        return np.full(6, _PENALTY * (1.0 + short))
+        return Shot((gl, gr), (trl, trr), np.full(6, _PENALTY * (1.0 + short)))
     fl, dfl = trl.eval(tl)
     fr, dfr = trr.eval(tr)
+    res = np.empty(6)
     res[:3] = fl[0] - fr[0]
     res[3:] = dfl[0] + dfr[0]  # opposite orientations
-    return res
+    return Shot((gl, gr), (trl, trr), res)
 
 
-def _assemble(pr: ShootingProblem, u):
-    """Full-interval trajectory in global time t in [0, T] from the two legs."""
-    left, right, T = pr.split(u)
-    gl = series_solve(pr.diagram.left, left, pr.lam, order=pr.germ_order)
-    gr = series_solve(pr.diagram.right, right, pr.lam, order=pr.germ_order)
-    kw = dict(rtol=pr.rtol, atol=pr.atol, defect_target=pr.defect_target)
-    trl = integrate_germ(gl, pr.theta * T, **kw)
-    trr = integrate_germ(gr, (1.0 - pr.theta) * T, **kw)
-    if trl.reason != "reached_target" or trr.reason != "reached_target":
+def match_residual(pr: ShootingProblem, u):
+    """Six differences of (f, f') where the two outward integrations meet."""
+    return shoot(pr, u).residual
+
+
+def _assemble(pr: ShootingProblem, T, shot: Shot):
+    """Full-interval trajectory in global time t in [0, T] from the legs."""
+    if [leg.reason for leg in shot.legs] != ["reached_target"] * 2:
         raise NonConvergence("leg integration terminated before the match point")
+    trl, trr = shot.legs
     # right leg: global t = T - s, orientation flips df and so f' in the
     # slopes; f'' is even in df, so the stored slopes stay exact
     keep = trr.t < (1.0 - pr.theta) * T - 1e-12
@@ -174,17 +185,17 @@ def _assemble(pr: ShootingProblem, u):
     dy = np.concatenate([trl.dy, trr.dy[keep][::-1] * -_MIRROR])
     return Trajectory(t, y, dy, pr.lam, "reached_target",
                       trl.n_accepted + trr.n_accepted,
-                      trl.n_rejected + trr.n_rejected), gl, gr
+                      trl.n_rejected + trr.n_rejected)
 
 
-def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9, fd_step=1e-7,
-          verbose=False) -> SolutionReport:
+def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9, fd_step=1e-7) -> SolutionReport:
     """Damped Gauss-Newton on the match residual with a forward-difference
-    Jacobian.  Raises NonConvergence with the best iterate on failure."""
+    Jacobian.  Raises NonConvergence with the best iterate on failure.
+    Logs each step's residual norm to the "c1einstein" logger at DEBUG."""
     u = np.asarray(guess, dtype=float).copy()
     pr.check_admissible(u)
-    r = match_residual(pr, u)
-    norm = np.max(np.abs(r))
+    shot = shoot(pr, u)
+    norm = np.max(np.abs(shot.residual))
 
     def jacobian(u, r):
         J = np.empty((6, len(u)))
@@ -201,34 +212,32 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9, fd_step=1e-7,
             raise NonConvergence(
                 f"no convergence in {max_iter} iterations, "
                 f"|residual| = {norm:.3e}", u, norm)
-        J = jacobian(u, r)
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        J = jacobian(u, shot.residual)
+        step, *_ = np.linalg.lstsq(J, -shot.residual, rcond=None)
         lam_damp = 1.0
         for _ in range(12):
             u_try = u + lam_damp * step
-            r_try = match_residual(pr, u_try)
-            n_try = np.max(np.abs(r_try))
+            shot_try = shoot(pr, u_try)
+            n_try = np.max(np.abs(shot_try.residual))
             if n_try < norm:
-                u, r, norm = u_try, r_try, n_try
+                u, shot, norm = u_try, shot_try, n_try
                 break
             lam_damp *= 0.5
         else:
             raise NonConvergence(
                 f"line search stalled at |residual| = {norm:.3e}", u, norm)
-        if verbose:
-            print(f"  iter {n_iter:2d}  |residual| = {norm:.3e}")
+        _log.debug("iter %2d  |residual| = %.3e", n_iter, norm)
         n_iter += 1
-    J = jacobian(u, r)
+    J = jacobian(u, shot.residual)
     rank = int(np.linalg.matrix_rank(J, tol=1e-8 * max(1.0, np.abs(J).max())))
     left, right, T = pr.split(u)
-    traj, _, _ = _assemble(pr, u)
-    report = SolutionReport(
-        problem=pr, u=u, T=T, converged=True, residual=r,
+    traj = _assemble(pr, T, shot)
+    return SolutionReport(
+        problem=pr, u=u, T=T, converged=True, residual=shot.residual,
         residual_norm=float(norm), n_iter=n_iter, jacobian_rank=int(rank),
-        trajectory=traj, left_free=left, right_free=right,
+        trajectory=traj, left_free=left, right_free=right, germs=shot.germs,
+        drift=drift_report(traj),
     )
-    report.drift = drift_report(traj)
-    return report
 
 
 def scan(pr: ShootingProblem, grid, jobs=1):

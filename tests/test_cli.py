@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from c1einstein import cli
 from c1einstein.cli import (CSV_HEADER, ConfigError, EXIT_CHECK_FAILURE,
                             EXIT_NONCONVERGENCE, EXIT_PASS, EXIT_USAGE, emit,
                             load_config, read_solution_csv, run)
+from c1einstein.shooting import NonConvergence
 
 
 # ---------------------------------------------------------------------------
@@ -154,3 +156,37 @@ def test_report_command(capsys):
     assert code == EXIT_PASS
     out = capsys.readouterr().out
     assert "beta" in out and "chi" in out and "tau" in out
+
+
+def test_report_surfaces_diagnostic_errors(capsys, monkeypatch):
+    # a diagram without endpoint constants still reports
+    assert run(["report", "--diagram", "su2_s4"]) == EXIT_PASS
+
+    def broken(sr):
+        raise ValueError("broken constants")
+
+    # any other ValueError from the diagnostics is not swallowed
+    monkeypatch.setattr(cli, "invariant_constants", broken)
+    assert run(["report", "--diagram", "so3_s4"]) == EXIT_USAGE
+    assert "broken constants" in capsys.readouterr().err
+
+
+def test_config_keys_and_tol_reach_the_problem(tmp_path, monkeypatch):
+    seen = []
+
+    def stop(pr, guess, **kw):
+        seen.append(pr)
+        raise NonConvergence("stopped before solving")
+
+    monkeypatch.setattr(cli, "solve", stop)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("theta = 0.35\ngerm_order = 9\nrtol = 1e-8\natol = 1e-9\n")
+    argv = ["solve", "--diagram", "so3_cp2", "--config", str(cfg),
+            "--out", str(tmp_path / "o")]
+    assert run(argv) == EXIT_NONCONVERGENCE
+    assert run(argv + ["--tol", "1e-10"]) == EXIT_NONCONVERGENCE
+    from_cfg, with_tol = seen
+    assert (from_cfg.theta, from_cfg.germ_order, from_cfg.rtol, from_cfg.atol) == (
+        0.35, 9, 1e-8, 1e-9)
+    assert (with_tol.theta, with_tol.germ_order, with_tol.rtol, with_tol.atol) == (
+        0.35, 9, 1e-10, 1e-10 * 1e-2)

@@ -7,7 +7,8 @@ cross-check.
 import numpy as np
 import pytest
 
-from c1einstein.diagnostics import (ConeSpec, characteristic_numbers,
+from c1einstein.diagnostics import (ConeSpec, ConstantsUndefined,
+                                    characteristic_numbers,
                                     cone_monitor, eigen_gap_report,
                                     fd_curvature_oracle, invariant_constants,
                                     kahler_detector, max_principle_check)
@@ -53,6 +54,30 @@ def test_constants_orbifold(solutions):
 def test_constants_undefined_for_doubly_smooth_diagram(solutions):
     with pytest.raises(ValueError):
         invariant_constants(solutions("su2_s4"))
+
+
+B12 = ("B", 1, 2)
+
+
+@pytest.mark.parametrize("case_id,k,keys,labeling", [
+    ("su2_s4", 0, None, B12),
+    ("so3_s4", 0, {"alpha"}, B12),
+    ("su2_cp2", 0, {"beta"}, B12),
+    ("so3_cp2", 0, {"beta"}, B12),
+    ("su2_cp2bar", 0, None, B12),
+    ("so3_s2xs2", 0, {"delta"}, ("A", 1, 2)),
+    ("so3_hitchin", 1, {"alpha"}, B12),
+    ("so3_hitchin", 2, {"alpha", "beta", "theta_k"}, B12),
+    ("so3_hitchin", 3, {"alpha", "beta", "theta_k"}, B12),
+])
+def test_catalog_constants_and_kahler_pair(case_id, k, keys, labeling, solutions):
+    sr = solutions(case_id, k)
+    if keys is None:
+        with pytest.raises(ConstantsUndefined):
+            invariant_constants(sr)
+    else:
+        assert set(invariant_constants(sr).as_dict()) == keys
+    assert kahler_detector(sr)["labeling"] == labeling
 
 
 def test_constants_scale_invariant():

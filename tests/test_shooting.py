@@ -2,9 +2,13 @@
 recovery from perturbed guesses, admissibility, and solution reports.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
+from c1einstein import germs, shooting
+from c1einstein.diagnostics import characteristic_numbers
 from c1einstein.germs import get_diagram
 from c1einstein.presets import initial_guess, scan_box
 from c1einstein.shooting import (AdmissibilityError, NonConvergence,
@@ -112,6 +116,41 @@ def test_n_iter_counts_steps_when_the_last_step_converges():
     assert np.array_equal(free.u, capped.u)
     with pytest.raises(NonConvergence):
         solve(pr, guess, max_iter=2)
+
+
+def test_solve_logs_one_record_per_step(caplog):
+    pr = _problem("su2_cp2")
+    g = initial_guess("su2_cp2")
+    guess = g * (1 + 0.01 * np.random.default_rng(1).uniform(-1, 1, g.size))
+    with caplog.at_level(logging.DEBUG, logger="c1einstein"):
+        sr = solve(pr, guess)
+    records = [r for r in caplog.records if r.name == "c1einstein"]
+    assert sr.n_iter == 3
+    assert len(records) == sr.n_iter
+    assert all(r.levelno == logging.DEBUG for r in records)
+
+
+def test_germs_are_built_once_per_shot(monkeypatch):
+    real = germs.series_solve
+    built = []
+
+    def counted(*args, **kw):
+        built.append(args[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(germs, "series_solve", counted)
+    monkeypatch.setattr(shooting, "series_solve", counted)
+    pr = _problem("su2_cp2")
+    sr = solve(pr, initial_guess("su2_cp2"))
+    # the shipped guess converges at once: the base shot and five Jacobian
+    # columns, two germs each; the trajectory reuses the base shot's legs
+    assert len(built) == 12
+    characteristic_numbers(sr)
+    assert len(built) == 12
+    ends = (pr.diagram.left, pr.diagram.right)
+    for end, free, germ in zip(ends, (sr.left_free, sr.right_free), sr.germs):
+        fresh = real(end, free, pr.lam, order=pr.germ_order)
+        assert np.array_equal(germ.coeffs, fresh.coeffs)
 
 
 def test_round_solution_profile(solutions):
