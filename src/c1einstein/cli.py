@@ -77,9 +77,11 @@ CSV_HEADER = ("t,f1,f2,f3,df1,df2,df3,L1,L2,L3,R1,R2,R3,"
               "A1,A2,A3,B1,B2,B3,a1,a2,a3,b1,b2,b3,constraint")
 
 
-def emit(sr, out_dir):
+def emit(sr, out_dir, topology=None):
     """Persist a converged solution: solution.csv, constants.txt,
-    diagnostics.json."""
+    diagnostics.json.  ``topology`` is the solution's TopologyReport when
+    the caller already holds it; for a closed diagram it is computed here
+    otherwise."""
     os.makedirs(out_dir, exist_ok=True)
     d = sr.trajectory.diagnostics()
     rows = np.column_stack([
@@ -116,7 +118,7 @@ def emit(sr, out_dir):
         "kahler": kahler_detector(sr),
     }
     if sr.diagram.chi_tau is not None:
-        tr = characteristic_numbers(sr)
+        tr = characteristic_numbers(sr) if topology is None else topology
         diag["chi"] = tr.chi
         diag["tau"] = tr.tau
         diag["quadrature_doubling_change"] = tr.node_doubling_change
@@ -224,12 +226,13 @@ def _verify(args, cfg):
     worst = max(abs(v["eq_residual"]) for v in mp.values())
     ok &= _check("ratio_equation_extrema", worst < 1e-7, f"{worst:.3e}")
     expect = sr.diagram.chi_tau
+    tr = None
     if expect is not None:
         tr = characteristic_numbers(sr)
         ok &= _check("chi", abs(tr.chi - expect[0]) < 1e-3, f"{tr.chi:.6f}")
         ok &= _check("tau", abs(tr.tau - expect[1]) < 1e-3, f"{tr.tau:.6f}")
     if args.out:
-        emit(sr, args.out)
+        emit(sr, args.out, topology=tr)
     return EXIT_PASS if ok else EXIT_CHECK_FAILURE
 
 

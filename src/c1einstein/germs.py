@@ -15,6 +15,7 @@ Coefficients the staircase cannot fix are the free germ parameters; they are
 the shooting unknowns.
 """
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -207,7 +208,9 @@ class _Structure:
     N: int
 
 
+@functools.lru_cache(maxsize=None)
 def _structure(end: EndCondition, N: int) -> _Structure:
+    """Slots of an end at ansatz order N; cached and shared, so read-only."""
     base = np.zeros((3, N + 1))
     slots = []
 
@@ -287,14 +290,28 @@ def _apply(structure: _Structure, values: np.ndarray) -> np.ndarray:
 # polynomial residual
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _toeplitz(la, lb, L):
+    """Gather indices n - p into b and the mask 0 <= n - p < lb, for rows
+    p < la and output orders n < L; cached and shared, so read-only."""
+    n = np.arange(L) - np.arange(la)[:, None]
+    mask = (n >= 0) & (n < lb)
+    return np.where(mask, n, 0), mask
+
+
 def _pmul(a, b, L):
-    """Truncated product of coefficient arrays along the last axis."""
-    out = np.zeros(a.shape[:-1] + (L,))
-    la, lb = a.shape[-1], b.shape[-1]
-    for p in range(min(la, L)):
-        w = min(lb, L - p)
-        out[..., p:p + w] += a[..., p:p + 1] * b[..., :w]
-    return out
+    """Truncated product of coefficient arrays along the last axis.
+
+    out[n] = sum over p of a[p] b[n - p], added in the order p = 0, 1, ...
+    to +0.0, as a loop over p would: a reduction over the row axis of the
+    (..., p, n) block adds whole rows in turn.  Cells outside the product
+    hold +0.0 in place of a product, and adding +0.0 to a sum that started
+    at +0.0 changes no bit, not even the sign of a zero."""
+    la = min(a.shape[-1], L)
+    idx, mask = _toeplitz(la, b.shape[-1], L)
+    prod = np.zeros(a.shape[:-1] + (la, L))
+    np.multiply(a[..., :la, None], b[..., idx], out=prod, where=mask)
+    return np.add.reduce(prod, axis=-2, initial=0.0)
 
 
 def _pder(a):

@@ -100,13 +100,15 @@ class ShootingProblem:
 
 @dataclass(frozen=True)
 class Shot:
-    """One evaluation of the unknowns: the (left, right) germs and legs and
-    the six match differences.  Germs and legs are empty when the unknowns
-    were rejected before integration."""
+    """One evaluation of the unknowns: the (left, right) germs and legs, the
+    (left, right) match distances and the six match differences.  Germs,
+    legs and distances are empty when the unknowns were rejected before
+    integration."""
 
     germs: tuple
     legs: tuple
     residual: np.ndarray
+    reach: tuple = ()
 
 
 @dataclass
@@ -134,42 +136,54 @@ class SolutionReport:
         return self.problem.lam
 
 
-def shoot(pr: ShootingProblem, u) -> Shot:
+def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
     """Build both germs, integrate both legs outward to the match point and
     take the six differences of (f, f') there.
 
     Integration events (collapse, blowup) before the match point yield a
     finite penalty residual proportional to the shortfall, so scans remain
     total functions of the unknowns.
+
+    A side, the germ and leg of one end, depends only on that end's free
+    values and match distance.  With ``base``, a shot of the same problem,
+    a side whose free values equal base's takes base's germ, and base's leg
+    too when its match distance is also equal; the shot is the same, bit
+    for bit, as one built without ``base``.
     """
     try:
         pr.check_admissible(u)
         left, right, T = pr.split(u)
-        gl = series_solve(pr.diagram.left, left, pr.lam, order=pr.germ_order)
-        gr = series_solve(pr.diagram.right, right, pr.lam, order=pr.germ_order)
-        tl, tr = pr.theta * T, (1.0 - pr.theta) * T
+        reach = (pr.theta * T, (1.0 - pr.theta) * T)
+        ends = (pr.diagram.left, pr.diagram.right)
+        frees = (left, right)
+        same = [base is not None and bool(base.germs)
+                and base.germs[i].free_values == frees[i] for i in range(2)]
+        germs = tuple(base.germs[i] if same[i] else
+                      series_solve(ends[i], frees[i], pr.lam, order=pr.germ_order)
+                      for i in range(2))
         kw = dict(rtol=pr.rtol, atol=pr.atol, defect_target=pr.defect_target)
-        trl = integrate_germ(gl, tl, **kw)
-        trr = integrate_germ(gr, tr, **kw)
+        legs = tuple(base.legs[i] if same[i] and base.reach[i] == reach[i] else
+                     integrate_germ(germs[i], reach[i], **kw) for i in range(2))
     except (AdmissibilityError, GermConstructionError, ValueError):
         return Shot((), (), np.full(6, _PENALTY))
     short = 0.0
-    for traj, t_need in ((trl, tl), (trr, tr)):
+    for traj, t_need in zip(legs, reach):
         if traj.reason != "reached_target":
             short += (t_need - traj.t_end) / max(t_need, 1e-300)
     if short > 0.0:
-        return Shot((gl, gr), (trl, trr), np.full(6, _PENALTY * (1.0 + short)))
-    fl, dfl = trl.eval(tl)
-    fr, dfr = trr.eval(tr)
+        return Shot(germs, legs, np.full(6, _PENALTY * (1.0 + short)), reach)
+    fl, dfl = legs[0].eval(reach[0])
+    fr, dfr = legs[1].eval(reach[1])
     res = np.empty(6)
     res[:3] = fl[0] - fr[0]
     res[3:] = dfl[0] + dfr[0]  # opposite orientations
-    return Shot((gl, gr), (trl, trr), res)
+    return Shot(germs, legs, res, reach)
 
 
-def match_residual(pr: ShootingProblem, u):
-    """Six differences of (f, f') where the two outward integrations meet."""
-    return shoot(pr, u).residual
+def match_residual(pr: ShootingProblem, u, base: Optional[Shot] = None):
+    """Six differences of (f, f') where the two outward integrations meet;
+    ``base`` lends its unchanged sides as in ``shoot``."""
+    return shoot(pr, u, base).residual
 
 
 def _assemble(pr: ShootingProblem, T, shot: Shot):
@@ -197,13 +211,15 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9, fd_step=1e-7) -> So
     shot = shoot(pr, u)
     norm = np.max(np.abs(shot.residual))
 
-    def jacobian(u, r):
+    def jacobian(u, shot):
+        # each column moves one unknown, so it rebuilds only the side that
+        # unknown feeds: a germ parameter one germ and leg, T both legs
         J = np.empty((6, len(u)))
         for i in range(len(u)):
             h = fd_step * (1.0 + abs(u[i]))
             up = u.copy()
             up[i] += h
-            J[:, i] = (match_residual(pr, up) - r) / h
+            J[:, i] = (match_residual(pr, up, base=shot) - shot.residual) / h
         return J
 
     n_iter = 0
@@ -212,7 +228,7 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9, fd_step=1e-7) -> So
             raise NonConvergence(
                 f"no convergence in {max_iter} iterations, "
                 f"|residual| = {norm:.3e}", u, norm)
-        J = jacobian(u, shot.residual)
+        J = jacobian(u, shot)
         step, *_ = np.linalg.lstsq(J, -shot.residual, rcond=None)
         lam_damp = 1.0
         for _ in range(12):
@@ -228,7 +244,7 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9, fd_step=1e-7) -> So
                 f"line search stalled at |residual| = {norm:.3e}", u, norm)
         _log.debug("iter %2d  |residual| = %.3e", n_iter, norm)
         n_iter += 1
-    J = jacobian(u, shot.residual)
+    J = jacobian(u, shot)
     rank = int(np.linalg.matrix_rank(J, tol=1e-8 * max(1.0, np.abs(J).max())))
     left, right, T = pr.split(u)
     traj = _assemble(pr, T, shot)

@@ -7,8 +7,11 @@ rescaled to lambda = 3; see c1einstein.oracles.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from c1einstein import core
+from c1einstein import core, germs
 from c1einstein.germs import (DIAGRAM_IDS, GermConstructionError,
                               diagram_catalog, discover_free_parameters,
                               end_conditions, germ_decay_check, germ_eval,
@@ -217,6 +220,51 @@ def test_series_solve_validates_inputs():
         series_solve(end, {"h": 1.0, "nope": 0.0}, 3.0)
     with pytest.raises(ValueError):
         series_solve(end, {"h": 1.0, "c": 0.0}, 3.0, order=2)
+
+
+def _pmul_loop(a, b, L):
+    """The truncated product as one slice multiply-add per order of a."""
+    out = np.zeros(a.shape[:-1] + (L,))
+    la, lb = a.shape[-1], b.shape[-1]
+    for p in range(min(la, L)):
+        w = min(lb, L - p)
+        out[..., p:p + w] += a[..., p:p + 1] * b[..., :w]
+    return out
+
+
+_coef = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+                  st.floats(-1e3, 1e3), st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def _pmul_inputs(draw):
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    la, lb, L = draw(st.integers(1, 24)), draw(st.integers(1, 24)), draw(st.integers(1, 20))
+    a = draw(arrays(np.float64, batch + (la,), elements=_coef))
+    b = draw(arrays(np.float64, batch + (lb,), elements=_coef))
+    return a, b, L
+
+
+@given(_pmul_inputs())
+@settings(max_examples=300, deadline=None)
+def test_pmul_equals_the_ordered_loop_bit_for_bit(inputs):
+    a, b, L = inputs
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _pmul_loop(a, b, L)
+        got = germs._pmul(a, b, L)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pmul_keeps_the_signs_of_zero_sums():
+    # every term is -0.0: the loop adds them to +0.0 and gets +0.0, where a
+    # sum seeded with its first term would give -0.0
+    a = np.array([-0.0, -0.0])
+    b = np.array([1.0, 1.0])
+    for L in (1, 2):
+        want = _pmul_loop(a, b, L)
+        assert not np.signbit(want).any()
+        assert germs._pmul(a, b, L).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,26 @@ def test_verify_command_passes(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_verify_out_integrates_the_curvature_once(tmp_path, monkeypatch):
+    real = cli.characteristic_numbers
+    calls = []
+
+    def counted(sr, *args, **kw):
+        calls.append(sr.diagram.name)
+        return real(sr, *args, **kw)
+
+    monkeypatch.setattr(cli, "characteristic_numbers", counted)
+    argv = ["--diagram", "su2_cp2", "--out"]
+    assert run(["verify"] + argv + [str(tmp_path / "v")]) == EXIT_PASS
+    # the chi/tau checks and diagnostics.json share one report
+    assert calls == ["su2_cp2"]
+    assert run(["solve"] + argv + [str(tmp_path / "s")]) == EXIT_PASS
+    assert calls == ["su2_cp2"] * 2
+    for name in ("diagnostics.json", "constants.txt", "solution.csv"):
+        assert ((tmp_path / "v" / name).read_bytes()
+                == (tmp_path / "s" / name).read_bytes()), name
+
+
 def test_verify_detects_degraded_solution(tmp_path, capsys):
     # a deliberately loose solver tolerance leaves a residual the
     # verification thresholds must flag

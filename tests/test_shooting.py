@@ -132,25 +132,141 @@ def test_solve_logs_one_record_per_step(caplog):
 
 def test_germs_are_built_once_per_shot(monkeypatch):
     real = germs.series_solve
-    built = []
+    real_leg = shooting.integrate_germ
+    built, legs = [], []
 
     def counted(*args, **kw):
         built.append(args[0])
         return real(*args, **kw)
 
+    def counted_leg(*args, **kw):
+        legs.append(args[0])
+        return real_leg(*args, **kw)
+
     monkeypatch.setattr(germs, "series_solve", counted)
     monkeypatch.setattr(shooting, "series_solve", counted)
+    monkeypatch.setattr(shooting, "integrate_germ", counted_leg)
     pr = _problem("su2_cp2")
     sr = solve(pr, initial_guess("su2_cp2"))
-    # the shipped guess converges at once: the base shot and five Jacobian
-    # columns, two germs each; the trajectory reuses the base shot's legs
-    assert len(built) == 12
+    # the shipped guess converges at once: the base shot builds two germs
+    # and two legs, each of the four germ-parameter columns one germ and one
+    # leg, and the T column two legs on the base shot's germs; the
+    # trajectory reuses the base shot's legs
+    assert len(built) == 6
+    assert len(legs) == 8
     characteristic_numbers(sr)
-    assert len(built) == 12
+    assert len(built) == 6
     ends = (pr.diagram.left, pr.diagram.right)
     for end, free, germ in zip(ends, (sr.left_free, sr.right_free), sr.germs):
         fresh = real(end, free, pr.lam, order=pr.germ_order)
         assert np.array_equal(germ.coeffs, fresh.coeffs)
+
+
+INSTANCES = [(c, 0) for c in CASES] + [("so3_hitchin", k) for k in (1, 2, 3)]
+
+
+def _record_columns(monkeypatch):
+    """Record each residual solve's Jacobian asks for, with the shot it
+    lends as base."""
+    real = shooting.match_residual
+    calls = []
+
+    def recording(pr, u, base=None):
+        r = real(pr, u, base=base)
+        calls.append((np.array(u), base, r))
+        return r
+
+    monkeypatch.setattr(shooting, "match_residual", recording)
+    return calls
+
+
+def _assert_jacobians_exact(pr, calls):
+    # columns come in fives, one Jacobian per base shot; both Jacobians are
+    # (column - base.residual) / h with the same h, so equal residual
+    # columns mean equal Jacobians
+    assert calls and len(calls) % 5 == 0
+    for j in range(0, len(calls), 5):
+        group = calls[j:j + 5]
+        base = group[0][1]
+        assert base is not None and all(b is base for _, b, _ in group)
+        reused = np.column_stack([r for _, _, r in group])
+        full = np.column_stack([shooting.shoot(pr, u).residual for u, _, _ in group])
+        assert np.array_equal(reused, full)
+
+
+@pytest.mark.parametrize("case_id,k", INSTANCES)
+def test_jacobian_reusing_the_base_shot_is_exact(monkeypatch, case_id, k):
+    calls = _record_columns(monkeypatch)
+    pr = _problem(case_id, k)
+    solve(pr, initial_guess(case_id, k))
+    assert len(calls) == 5
+    _assert_jacobians_exact(pr, calls)
+
+
+def test_jacobian_reuse_is_exact_at_accepted_iterates(monkeypatch):
+    calls = _record_columns(monkeypatch)
+    pr = _problem("su2_cp2")
+    g = initial_guess("su2_cp2")
+    guess = g * (1 + 0.01 * np.random.default_rng(1).uniform(-1, 1, g.size))
+    sr = solve(pr, guess)
+    # one Jacobian at the guess and one at each of the three accepted iterates
+    assert sr.n_iter == 3 and len(calls) == 20
+    assert np.array_equal(calls[-5][0][1:], sr.u[1:])
+    _assert_jacobians_exact(pr, calls)
+
+
+def test_shot_rebuilds_only_the_sides_whose_inputs_change():
+    pr = _problem("su2_cp2")
+    u = initial_guess("su2_cp2")
+    base = shooting.shoot(pr, u)
+
+    def column(i):
+        up = u.copy()
+        up[i] += 1e-7 * (1.0 + abs(u[i]))
+        return shooting.shoot(pr, up, base=base)
+
+    t = column(4)
+    assert t.germs[0] is base.germs[0] and t.germs[1] is base.germs[1]
+    assert t.legs[0] is not base.legs[0] and t.legs[1] is not base.legs[1]
+    for i, moved, kept in ((0, 0, 1), (1, 0, 1), (2, 1, 0), (3, 1, 0)):
+        s = column(i)
+        assert s.germs[moved] is not base.germs[moved]
+        assert s.legs[moved] is not base.legs[moved]
+        assert s.germs[kept] is base.germs[kept] and s.legs[kept] is base.legs[kept]
+    same = shooting.shoot(pr, u, base=base)
+    assert same.legs[0] is base.legs[0] and same.legs[1] is base.legs[1]
+    assert np.array_equal(same.residual, base.residual)
+    # a rejected base lends nothing
+    rejected = shooting.shoot(pr, -u)
+    assert rejected.germs == ()
+    assert np.array_equal(shooting.shoot(pr, u, base=rejected).residual, base.residual)
+
+
+def test_reused_leg_keeps_its_stop_reason():
+    # the legs collapse before the match point, so the residual is the
+    # shortfall penalty; a reused leg must give the same penalty
+    pr = _problem("su2_s4")
+    u = np.array([-1 / 6, -1 / 6, -1 / 6, -1 / 6, 40.0])
+    base = shooting.shoot(pr, u)
+    assert [leg.reason for leg in base.legs] == ["collapse_event"] * 2
+    for i in (0, 3):
+        up = u.copy()
+        up[i] += 1e-7 * (1.0 + abs(u[i]))
+        assert np.array_equal(shooting.shoot(pr, up, base=base).residual,
+                              shooting.shoot(pr, up).residual)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_page_metric_closes_from_a_tiny_perturbation(seed):
+    # the shipped Page guess passes at iteration 0 by a margin that rounding
+    # could erase; from 1e-8 away Gauss-Newton itself must close it
+    pr = _problem("su2_cp2bar")
+    g = initial_guess("su2_cp2bar")
+    guess = g * (1 + 1e-8 * np.random.default_rng(seed).uniform(-1, 1, g.size))
+    sr = solve(pr, guess)
+    assert sr.converged and sr.residual_norm < 1e-9
+    assert sr.n_iter >= 1
+    assert np.max(np.abs(sr.u - g)) < 1e-7
 
 
 def test_round_solution_profile(solutions):
