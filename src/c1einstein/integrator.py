@@ -14,7 +14,8 @@ import numpy as np
 
 from . import core
 
-__all__ = ["Trajectory", "integrate", "integrate_frame", "integrate_germ", "drift_report"]
+__all__ = ["Trajectory", "HandoffError", "integrate", "integrate_frame", "integrate_germ",
+           "drift_report"]
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -205,6 +206,10 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
                       reason, n_acc, n_rej)
 
 
+class HandoffError(ValueError):
+    """The germ hand-off offset is not below the leg's target time."""
+
+
 def integrate_germ(germ, t_target, eps=None, defect_target=1e-12, **kw) -> Trajectory:
     """Integrate away from a singular orbit, handing off from the Taylor germ
     at an offset where its equation defect is below defect_target."""
@@ -212,6 +217,9 @@ def integrate_germ(germ, t_target, eps=None, defect_target=1e-12, **kw) -> Traje
 
     if eps is None:
         eps = germ_start_offset(germ, target=defect_target)
+    if eps >= t_target:
+        raise HandoffError(f"germ hand-off offset {eps:.6g} is not below "
+                           f"the target {t_target:.6g}")
     f0, df0 = germ.eval(eps)
     return integrate_frame(f0, df0, eps, t_target, germ.lam, **kw)
 

@@ -10,13 +10,14 @@ is a well-posed least-squares root find.
 
 import concurrent.futures
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .germs import GermConstructionError, GroupDiagram, series_solve
-from .integrator import Trajectory, drift_report, integrate_germ
+from .integrator import HandoffError, Trajectory, drift_report, integrate_germ
 
 __all__ = [
     "ShootingProblem",
@@ -34,6 +35,9 @@ __all__ = [
 _log = logging.getLogger("c1einstein")
 
 _PENALTY = 1e3
+# blow-up ceiling on |f| in the lambda = 3 gauge: solved profiles stay below
+# 4.1, and an su2_s4 scan-box leg past 10 is within 8e-4 in t of |f| = 1e6
+_BLOWUP = 10.0
 # (f, f') under t -> T - t
 _MIRROR = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
@@ -103,12 +107,20 @@ class Shot:
     """One evaluation of the unknowns: the (left, right) germs and legs, the
     (left, right) match distances and the six match differences.  Germs,
     legs and distances are empty when the unknowns were rejected before
-    integration."""
+    integration.
+
+    ``failure`` is None for a shot whose legs both reached the match point;
+    otherwise it says why the residual is the penalty: "inadmissible",
+    "germ" (the series or its hand-off offset could not be built),
+    "handoff" (the hand-off offset is not below the match distance), or the
+    stop reason of the first leg that fell short ("collapse_event",
+    "blowup_event", "step_failure")."""
 
     germs: tuple
     legs: tuple
     residual: np.ndarray
     reach: tuple = ()
+    failure: Optional[str] = None
 
 
 @dataclass
@@ -142,7 +154,10 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
 
     Integration events (collapse, blowup) before the match point yield a
     finite penalty residual proportional to the shortfall, so scans remain
-    total functions of the unknowns.
+    total functions of the unknowns; ``Shot.failure`` names the cause.  For
+    lam > 0 a leg stops as a blowup once |f| passes ``_BLOWUP`` scaled from
+    the lambda = 3 gauge, since f -> s f, t -> s t, lam -> lam / s^2 maps
+    solutions to solutions.  A malformed unknown vector raises ValueError.
 
     A side, the germ and leg of one end, depends only on that end's free
     values and match distance.  With ``base``, a shot of the same problem,
@@ -152,26 +167,35 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
     """
     try:
         pr.check_admissible(u)
-        left, right, T = pr.split(u)
-        reach = (pr.theta * T, (1.0 - pr.theta) * T)
-        ends = (pr.diagram.left, pr.diagram.right)
-        frees = (left, right)
-        same = [base is not None and bool(base.germs)
-                and base.germs[i].free_values == frees[i] for i in range(2)]
+    except AdmissibilityError:
+        return Shot((), (), np.full(6, _PENALTY), failure="inadmissible")
+    left, right, T = pr.split(u)
+    reach = (pr.theta * T, (1.0 - pr.theta) * T)
+    ends = (pr.diagram.left, pr.diagram.right)
+    frees = (left, right)
+    same = [base is not None and bool(base.germs)
+            and base.germs[i].free_values == frees[i] for i in range(2)]
+    kw = dict(rtol=pr.rtol, atol=pr.atol, defect_target=pr.defect_target)
+    if pr.lam > 0.0:
+        kw["blowup_ceiling"] = _BLOWUP * math.sqrt(3.0 / pr.lam)
+    try:
         germs = tuple(base.germs[i] if same[i] else
                       series_solve(ends[i], frees[i], pr.lam, order=pr.germ_order)
                       for i in range(2))
-        kw = dict(rtol=pr.rtol, atol=pr.atol, defect_target=pr.defect_target)
         legs = tuple(base.legs[i] if same[i] and base.reach[i] == reach[i] else
                      integrate_germ(germs[i], reach[i], **kw) for i in range(2))
-    except (AdmissibilityError, GermConstructionError, ValueError):
-        return Shot((), (), np.full(6, _PENALTY))
+    except GermConstructionError:
+        return Shot((), (), np.full(6, _PENALTY), failure="germ")
+    except HandoffError:
+        return Shot((), (), np.full(6, _PENALTY), failure="handoff")
     short = 0.0
+    failure = None
     for traj, t_need in zip(legs, reach):
         if traj.reason != "reached_target":
             short += (t_need - traj.t_end) / max(t_need, 1e-300)
-    if short > 0.0:
-        return Shot(germs, legs, np.full(6, _PENALTY * (1.0 + short)), reach)
+            failure = failure or traj.reason
+    if failure is not None:
+        return Shot(germs, legs, np.full(6, _PENALTY * (1.0 + short)), reach, failure)
     fl, dfl = legs[0].eval(reach[0])
     fr, dfr = legs[1].eval(reach[1])
     res = np.empty(6)

@@ -19,6 +19,7 @@ from c1einstein.germs import (DIAGRAM_IDS, GermConstructionError,
                               indicial_catalog, indicial_eigenvalues,
                               series_solve)
 from c1einstein.oracles import oracle
+from c1einstein.presets import initial_guess
 
 S2 = np.sqrt(2.0)
 S3 = np.sqrt(3.0)
@@ -60,6 +61,14 @@ def test_unknown_diagram_rejected():
         get_diagram("nope")
     with pytest.raises(ValueError):
         get_diagram("so3_hitchin", 0)
+
+
+def test_non_integer_cone_order_rejected():
+    with pytest.raises(ValueError, match="2.5"):
+        get_diagram("so3_hitchin", 2.5)
+    with pytest.raises(ValueError, match="k >= 1"):
+        get_diagram("so3_hitchin", -1)
+    assert get_diagram("so3_hitchin", np.int64(3)).k == 3
 
 
 def test_hitchin_k1_is_the_smooth_so3_sphere_diagram():
@@ -199,6 +208,28 @@ def test_germ_start_offset_meets_target():
     eps = germ_start_offset(g, target=1e-12)
     f, df = g.eval(eps)
     assert np.max(np.abs(core.frame_rhs(f, df, 3.0) - g.eval_second(eps))) < 1e-12
+
+
+def test_germ_start_offset_raises_when_no_offset_meets_target():
+    # a 4th-order germ bottoms out far above 1e-30 at every grid offset
+    end = get_diagram("su2_s4").left
+    g = series_solve(end, {"da": -1 / 6, "db": -1 / 6}, 3.0, order=4)
+    with pytest.raises(GermConstructionError, match="1e-30"):
+        germ_start_offset(g, target=1e-30)
+
+
+def test_germ_start_offset_accepts_the_rounding_floor():
+    # the Page circle end nudged as in a Jacobian column: no grid offset is
+    # below 1e-12, but the least defect is rounding within the slack
+    end = get_diagram("su2_cp2bar").left
+    free = dict(zip(end.free, initial_guess("su2_cp2bar")[:2]))
+    free["q"] += 1e-7 * (1.0 + free["q"])
+    g = series_solve(end, free, 3.0, order=8)
+    eps = germ_start_offset(g, target=1e-12)
+    f, df = g.eval(eps)
+    rhs = core.frame_rhs(f, df, 3.0)
+    defect = np.max(np.abs(rhs - g.eval_second(eps))) / (1.0 + np.max(np.abs(rhs)))
+    assert 1e-12 <= defect < germs._DEFECT_SLACK * 1e-12
 
 
 def test_germ_eval_outside_window_rejected():

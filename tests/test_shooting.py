@@ -58,6 +58,26 @@ def test_admissibility_checks():
     assert np.all(r >= 1e3)
 
 
+def test_failed_shots_say_why():
+    pr = _problem("su2_s4")
+    exact = initial_guess("su2_s4")
+    assert shooting.shoot(pr, exact).failure is None
+    assert shooting.shoot(pr, [-1 / 6] * 4 + [-1.0]).failure == "inadmissible"
+    assert shooting.shoot(pr, [-1 / 6] * 4 + [40.0]).failure == "collapse_event"
+    # the germ hands off further out than the match point
+    short = shooting.shoot(pr, [-1 / 6] * 4 + [0.01])
+    assert short.failure == "handoff" and np.all(short.residual == 1e3)
+    # no hand-off offset of a 4th-order germ meets a 1e-30 defect target
+    missed = ShootingProblem(get_diagram("su2_s4"), germ_order=4, defect_target=1e-30)
+    assert shooting.shoot(missed, exact).failure == "germ"
+
+
+def test_malformed_unknown_vector_raises():
+    pr = _problem("su2_s4")
+    with pytest.raises(ValueError, match="length 5"):
+        match_residual(pr, [1.0, 2.0, 3.0])
+
+
 # ---------------------------------------------------------------------------
 # residual at known solutions
 # ---------------------------------------------------------------------------
@@ -163,6 +183,50 @@ def test_germs_are_built_once_per_shot(monkeypatch):
 
 
 INSTANCES = [(c, 0) for c in CASES] + [("so3_hitchin", k) for k in (1, 2, 3)]
+
+
+def test_blowup_ceiling_has_room_above_every_solution(monkeypatch):
+    # every leg a shipped-guess solve integrates, Jacobian columns included,
+    # stays below half the ceiling
+    real_leg = shooting.integrate_germ
+    peaks = []
+
+    def counted_leg(*args, **kw):
+        leg = real_leg(*args, **kw)
+        peaks.append((leg.reason, np.max(np.abs(leg.f))))
+        return leg
+
+    monkeypatch.setattr(shooting, "integrate_germ", counted_leg)
+    for case_id, k in INSTANCES:
+        del peaks[:]
+        solve(_problem(case_id, k), initial_guess(case_id, k))
+        assert len(peaks) == 8, (case_id, k, peaks)
+        for reason, peak in peaks:
+            assert reason == "reached_target"
+            assert peak <= shooting._BLOWUP / 2, (case_id, k, peak)
+
+
+def test_blown_shot_stops_at_the_profile_scale():
+    pr = _problem("su2_s4")
+    u = scan_box("su2_s4", width=0.25, n=3)[242]
+    shot = shooting.shoot(pr, u)
+    assert shot.failure == "blowup_event"
+    for leg in shot.legs:
+        assert leg.reason == "blowup_event"
+        assert leg.n_accepted < 1000
+    assert np.all(shot.residual > 1e3)
+
+
+def test_blowup_ceiling_scales_with_lambda():
+    # lam = 0.3 stretches the quotient sphere by s = sqrt(10): its profile
+    # passes |f| = 10, so a ceiling fixed at the lam = 3 value would stop it
+    lam = 0.3
+    s = np.sqrt(3.0 / lam)
+    pr = ShootingProblem(get_diagram("so3_s4"), lam=lam)
+    g = initial_guess("so3_s4") * np.array([s, 1, s, 1, s])
+    sr = solve(pr, g)
+    assert sr.n_iter == 0 and sr.residual_norm < 1e-9
+    assert np.max(np.abs(sr.trajectory.f)) > shooting._BLOWUP
 
 
 def _record_columns(monkeypatch):
