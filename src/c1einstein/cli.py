@@ -44,6 +44,12 @@ _CONFIG_KEYS = {
 }
 
 
+# Below order 6 a germ misses the default 1e-12 hand-off defect target at
+# shipped solutions by more than the rounding slack (least defects reach
+# 3.8e-11 at order 5 and 2.6e-9 at order 4), so its shots fail as "germ".
+_MIN_GERM_ORDER = 6
+
+
 class ConfigError(ValueError):
     pass
 
@@ -66,6 +72,10 @@ def load_config(path):
                 cfg[key] = _CONFIG_KEYS[key](val.strip())
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {val.strip()!r}") from None
+            if key == "germ_order" and cfg[key] < _MIN_GERM_ORDER:
+                raise ConfigError(f"{path}:{lineno}: germ_order must be at least "
+                                  f"{_MIN_GERM_ORDER} to meet the germ defect target, "
+                                  f"got {cfg[key]}")
     return cfg
 
 

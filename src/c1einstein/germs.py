@@ -509,7 +509,8 @@ def germ_start_offset(germ: SeriesGerm, target=1e-12):
     evaluated on (f, df) over a log-spaced grid and picks the largest offset
     below the defect target.  When none is below it, the offset of least
     defect is taken if that defect is within ``_DEFECT_SLACK`` of the target,
-    and GermConstructionError is raised otherwise.
+    and GermConstructionError is raised otherwise.  It is raised too when the
+    germ leaves f > 0 at a grid offset tried before one meets the target.
     """
     from .core import frame_rhs
 
@@ -517,7 +518,13 @@ def germ_start_offset(germ: SeriesGerm, target=1e-12):
     best, best_defect = eps_grid[-1], np.inf
     for eps in eps_grid:
         f, df = germ.eval(eps)
-        rhs = frame_rhs(f, df, germ.lam)
+        try:
+            rhs = frame_rhs(f, df, germ.lam)
+        except ValueError as exc:
+            # a mirror end's f = h -/+ c t + ... can cross zero inside the
+            # radius when h is small against c
+            raise GermConstructionError(
+                f"germ is not positive at offset {eps:.3g}: {exc}") from exc
         # relative defect: near a collapse the rhs grows like 1/t^2 and the
         # absolute defect bottoms out at roundoff of that magnitude
         defect = np.max(np.abs(rhs - germ.eval_second(eps))) / (1.0 + np.max(np.abs(rhs)))

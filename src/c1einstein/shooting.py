@@ -264,8 +264,9 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9, fd_step=1e-7) -> So
                 break
             lam_damp *= 0.5
         else:
+            why = f" (shot failure: {shot.failure})" if shot.failure else ""
             raise NonConvergence(
-                f"line search stalled at |residual| = {norm:.3e}", u, norm)
+                f"line search stalled at |residual| = {norm:.3e}{why}", u, norm)
         _log.debug("iter %2d  |residual| = %.3e", n_iter, norm)
         n_iter += 1
     J = jacobian(u, shot)

@@ -70,6 +70,18 @@ def test_failed_shots_say_why():
     # no hand-off offset of a 4th-order germ meets a 1e-30 defect target
     missed = ShootingProblem(get_diagram("su2_s4"), germ_order=4, defect_target=1e-30)
     assert shooting.shoot(missed, exact).failure == "germ"
+    # an admissible mirror end whose f = h - c t + ... is not positive at
+    # the first offset the hand-off search tries
+    crossing = [0.2, -2.0, 2 * np.sqrt(3.0), 2.0, np.pi / 3]
+    shot = shooting.shoot(_problem("so3_s4"), crossing)
+    assert shot.failure == "germ" and np.all(shot.residual == 1e3)
+
+
+def test_solve_names_the_failure_it_stalls_on():
+    # an order-5 Page germ misses the 1e-12 defect target beyond the slack
+    pr = ShootingProblem(get_diagram("su2_cp2bar"), germ_order=5)
+    with pytest.raises(NonConvergence, match=r"1\.000e\+03 \(shot failure: germ\)"):
+        solve(pr, initial_guess("su2_cp2bar"))
 
 
 def test_malformed_unknown_vector_raises():
@@ -185,27 +197,6 @@ def test_germs_are_built_once_per_shot(monkeypatch):
 INSTANCES = [(c, 0) for c in CASES] + [("so3_hitchin", k) for k in (1, 2, 3)]
 
 
-def test_blowup_ceiling_has_room_above_every_solution(monkeypatch):
-    # every leg a shipped-guess solve integrates, Jacobian columns included,
-    # stays below half the ceiling
-    real_leg = shooting.integrate_germ
-    peaks = []
-
-    def counted_leg(*args, **kw):
-        leg = real_leg(*args, **kw)
-        peaks.append((leg.reason, np.max(np.abs(leg.f))))
-        return leg
-
-    monkeypatch.setattr(shooting, "integrate_germ", counted_leg)
-    for case_id, k in INSTANCES:
-        del peaks[:]
-        solve(_problem(case_id, k), initial_guess(case_id, k))
-        assert len(peaks) == 8, (case_id, k, peaks)
-        for reason, peak in peaks:
-            assert reason == "reached_target"
-            assert peak <= shooting._BLOWUP / 2, (case_id, k, peak)
-
-
 def test_blown_shot_stops_at_the_profile_scale():
     pr = _problem("su2_s4")
     u = scan_box("su2_s4", width=0.25, n=3)[242]
@@ -261,9 +252,23 @@ def _assert_jacobians_exact(pr, calls):
 @pytest.mark.parametrize("case_id,k", INSTANCES)
 def test_jacobian_reusing_the_base_shot_is_exact(monkeypatch, case_id, k):
     calls = _record_columns(monkeypatch)
+    real_leg = shooting.integrate_germ
+    peaks = []
+
+    def counted_leg(*args, **kw):
+        leg = real_leg(*args, **kw)
+        peaks.append((leg.reason, np.max(np.abs(leg.f))))
+        return leg
+
+    monkeypatch.setattr(shooting, "integrate_germ", counted_leg)
     pr = _problem(case_id, k)
     solve(pr, initial_guess(case_id, k))
     assert len(calls) == 5
+    # every leg of the solve, Jacobian columns included, stays below half
+    # the blow-up ceiling
+    assert len(peaks) == 8
+    for reason, peak in peaks:
+        assert reason == "reached_target" and peak <= shooting._BLOWUP / 2, peak
     _assert_jacobians_exact(pr, calls)
 
 
