@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FrameState",
     "GapState",
-    "triple",
     "lr_from_frame",
     "lr_rhs",
     "frame_rhs",
@@ -25,6 +23,7 @@ __all__ = [
     "ab_coeffs",
     "ab_rhs",
     "curv_eigs",
+    "frame_curvature",
     "curv_eigs_rhs",
     "gap_rhs",
     "uij_residual",
@@ -33,35 +32,6 @@ __all__ = [
 # cyclic companions j and k of each index i
 J = np.array([1, 2, 0])
 K = np.array([2, 0, 1])
-
-
-def triple(x1, x2, x3=None):
-    """Build a (3,) float array; accepts three scalars or one sequence."""
-    if x3 is None:
-        a = np.asarray(x1, dtype=float)
-    else:
-        a = np.array([x1, x2, x3], dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected 3 components, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"non-finite triple {a}")
-    return a
-
-
-@dataclass(frozen=True)
-class FrameState:
-    """Metric profile at one arc-length value: t, f_i and df_i/dt."""
-
-    t: float
-    f: np.ndarray
-    df: np.ndarray
-
-    def require_positive(self):
-        bad = np.nonzero(np.asarray(self.f) <= 0.0)[0]
-        if bad.size:
-            raise ValueError(
-                f"f_{bad[0] + 1} = {self.f[bad[0]]} is not positive at t = {self.t}"
-            )
 
 
 @dataclass(frozen=True)
@@ -177,6 +147,15 @@ def curv_eigs(R, A, B):
     a = 2.0 * R * A - A[..., J] * A[..., K]
     b = -2.0 * R * B - B[..., J] * B[..., K]
     return a, b
+
+
+def frame_curvature(f, df):
+    """The chain lr_from_frame -> ab_coeffs -> curv_eigs on profiles (f, df):
+    returns L, R, A, B, a, b."""
+    L, R, _ = lr_from_frame(f, df)
+    A, B = ab_coeffs(L, R)
+    a, b = curv_eigs(R, A, B)
+    return L, R, A, B, a, b
 
 
 def curv_eigs_rhs(a, b, A, B):

@@ -32,6 +32,10 @@ __all__ = [
 # order is opposite to the complex orientation of the Fubini-Study case.
 KAPPA_CHI = 1.0 / (8.0 * np.pi**2)
 KAPPA_TAU = -1.0 / (12.0 * np.pi**2)
+# Gauss-Legendre panels per segment and nodes per panel of the coarse
+# quadrature; the reported values use twice the panels
+_PANELS = 24
+_NODES = 12
 
 
 @dataclass(frozen=True)
@@ -130,17 +134,16 @@ def cone_monitor(sr: SolutionReport, cone: ConeSpec, window=None):
     }
 
 
-def kahler_detector(sr: SolutionReport, labeling=None, tol=1e-6):
-    """Parallel-form test: sup norms of the two designated connection
-    coefficients.  labeling is ("B", 1, 2) or ("A", 1, 2); the default is
-    the diagram's catalog pair, the A pair on S^2 x S^2 and B elsewhere."""
-    if labeling is None:
-        labeling = sr.diagram.kahler_pair
+def kahler_detector(sr: SolutionReport):
+    """Parallel-form test: sup norms of the two connection coefficients of
+    the diagram's catalog pair, the A pair on S^2 x S^2 and B elsewhere,
+    against 1e-6."""
+    labeling = sr.diagram.kahler_pair
     target, i, j = labeling
     vals = sr.trajectory.diagnostics()[target]
     sup_i = float(np.max(np.abs(vals[:, i - 1])))
     sup_j = float(np.max(np.abs(vals[:, j - 1])))
-    return {"is_kahler": sup_i < tol and sup_j < tol, "sup_norms": (sup_i, sup_j),
+    return {"is_kahler": sup_i < 1e-6 and sup_j < 1e-6, "sup_norms": (sup_i, sup_j),
             "labeling": labeling}
 
 
@@ -158,7 +161,7 @@ def eigen_gap_report(sr: SolutionReport):
     }
 
 
-def characteristic_numbers(sr: SolutionReport, n_panels=24, n_nodes=12) -> TopologyReport:
+def characteristic_numbers(sr: SolutionReport) -> TopologyReport:
     """Gauss-Bonnet and signature quadratures.
 
     chi = kappa_chi * Integral( sum (a_i - lam/3)^2 + sum (b_i - lam/3)^2
@@ -180,26 +183,22 @@ def characteristic_numbers(sr: SolutionReport, n_panels=24, n_nodes=12) -> Topol
 
     def density(f, df):
         # f, df shape (n, 3)
-        L, R, _ = core.lr_from_frame(f, df)
-        A, B = core.ab_coeffs(L, R)
-        a, b = core.curv_eigs(R, A, B)
+        *_, a, b = core.frame_curvature(f, df)
         wp = np.sum((a - lam / 3.0) ** 2, axis=-1)
         wm = np.sum((b - lam / 3.0) ** 2, axis=-1)
         vol = V * np.prod(f, axis=-1)
         return np.stack([(wp + wm + s2_term) * vol, (wp - wm) * vol])
 
-    def run(npan, nn):
-        x, w = np.polynomial.legendre.leggauss(nn)
+    x, w = np.polynomial.legendre.leggauss(_NODES)
 
+    def run(npan):
         def seg(lo, hi, ev):
+            # every node of every panel in one call, the panels summed in order
             edges = np.linspace(lo, hi, npan + 1)
-            tot = np.zeros(2)
-            for a, b in zip(edges[:-1], edges[1:]):
-                mid, half = 0.5 * (a + b), 0.5 * (b - a)
-                ts = mid + half * x
-                f, df = ev(ts)
-                tot += half * np.sum(w * density(f, df), axis=1)
-            return tot
+            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+            f, df = ev((mid[:, None] + half[:, None] * x).ravel())
+            panels = half * np.sum(w * density(f, df).reshape(2, npan, -1), axis=-1)
+            return np.add.accumulate(panels, axis=1)[:, -1]
 
         total = np.zeros(2)
         # germ windows at both ends, dense trajectory between; the right
@@ -214,22 +213,23 @@ def characteristic_numbers(sr: SolutionReport, n_panels=24, n_nodes=12) -> Topol
         total += seg(t_lo, t_hi, lambda ts: traj.eval(ts))
         return total
 
-    c1 = run(n_panels, n_nodes)
-    c2 = run(2 * n_panels, n_nodes)
+    c1 = run(_PANELS)
+    c2 = run(2 * _PANELS)
     chi = KAPPA_CHI * c2[0]
     tau = KAPPA_TAU * c2[1]
     change = max(abs(KAPPA_CHI) * abs(c2[0] - c1[0]),
                  abs(KAPPA_TAU) * abs(c2[1] - c1[1]))
-    return TopologyReport(float(chi), float(tau), 2 * n_panels * n_nodes, float(change))
+    return TopologyReport(float(chi), float(tau), 2 * _PANELS * _NODES, float(change))
 
 
-def max_principle_check(sr: SolutionReport, pairs=((1, 2), (2, 3), (3, 1)), tol=1e-7):
+def max_principle_check(sr: SolutionReport, pairs=((1, 2), (2, 3), (3, 1))):
     """Locate the maximum of each log-ratio u_ij = log(f_i/f_j) and verify
     the second-order ratio equation there.
 
     Reports per pair: the sup of u_ij, its location, whether the maximum is
     attained at a nonpositive value, and the equation residual at the
-    extremum (computed from dense samples and the analytic right-hand side).
+    extremum (computed from dense samples and the analytic right-hand side)
+    with whether it is below 1e-7.
     """
     traj = sr.trajectory
     ts = np.linspace(traj.t[0], traj.t[-1], 4001)
@@ -255,7 +255,7 @@ def max_principle_check(sr: SolutionReport, pairs=((1, 2), (2, 3), (3, 1)), tol=
             "nonpositive": bool(u[m] <= 1e-9),
             "interior": bool(0 < m < len(ts) - 1),
             "eq_residual": float(sign * res[pair_pos]),
-            "eq_ok": bool(abs(res[pair_pos]) < tol),
+            "eq_ok": bool(abs(res[pair_pos]) < 1e-7),
         }
     return out
 
@@ -272,7 +272,5 @@ def fd_curvature_oracle(sampler, t, h, lam):
     fp = np.asarray(sampler(t + h), dtype=float)
     fm = np.asarray(sampler(t - h), dtype=float)
     df = (fp - fm) / (2.0 * h)
-    L, R, _ = core.lr_from_frame(f, df)
-    A, B = core.ab_coeffs(L, R)
-    a, b = core.curv_eigs(R, A, B)
+    L, R, _, _, a, b = core.frame_curvature(f, df)
     return a, b, core.constraint_residual(L, R, lam)

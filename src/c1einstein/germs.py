@@ -17,12 +17,12 @@ the shooting unknowns.
 
 import functools
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import FrameState, J, K
+from .core import J, K
 
 __all__ = [
     "GroupDiagram",
@@ -33,9 +33,7 @@ __all__ = [
     "DIAGRAM_IDS",
     "diagram_catalog",
     "get_diagram",
-    "end_conditions",
     "series_solve",
-    "germ_eval",
     "germ_start_offset",
     "discover_free_parameters",
     "indicial_eigenvalues",
@@ -81,13 +79,6 @@ class EndCondition:
     k: int = 0
     fixes: Optional[str] = None  # "alpha", "beta", "delta" or None
 
-    @property
-    def slopes(self):
-        s = np.zeros(3)
-        for i in self.collapse:
-            s[i] = self.slope
-        return s
-
 
 @dataclass(frozen=True)
 class GroupDiagram:
@@ -108,8 +99,8 @@ def _fixed_point():
     return EndCondition("fixed_point", (0, 1, 2), 1.0, (), ("da", "db"))
 
 
-def _mirror(a, b, c, slope=4.0):
-    return EndCondition("mirror", (a,), slope, (b, c), ("h", "c"), fixes="alpha")
+def _mirror(a, b, c):
+    return EndCondition("mirror", (a,), 4.0, (b, c), ("h", "c"), fixes="alpha")
 
 
 def _even_pair(a, b, c):
@@ -177,19 +168,10 @@ def get_diagram(case_id, k=0) -> GroupDiagram:
         raise ValueError(f"unknown diagram id {case_id!r}") from None
 
 
-def diagram_catalog(k_values=(1, 2, 3)):
-    """The seven cases; Hitchin instantiated at the requested k values."""
-    out = [get_diagram(cid) for cid in _CATALOG]
-    out += [get_diagram("so3_hitchin", k) for k in k_values]
-    return out
-
-
-def end_conditions(diagram: GroupDiagram, which: str) -> EndCondition:
-    if which == "left":
-        return diagram.left
-    if which == "right":
-        return diagram.right
-    raise ValueError(f"which must be 'left' or 'right', got {which!r}")
+def diagram_catalog():
+    """The seven cases, Hitchin at k = 1, 2 and 3."""
+    return ([get_diagram(cid) for cid in _CATALOG]
+            + [get_diagram("so3_hitchin", k) for k in (1, 2, 3)])
 
 
 # --------------------------------------------------------------------------
@@ -203,22 +185,34 @@ class _Slot:
     order: int  # smallest Taylor power it touches
 
 
+# a generic Einstein constant, for probing and discovery
+_LAM_GENERIC = 1.7
+_STAIRCASE_RTOL = 1e-9
+
+
 @dataclass
 class _Structure:
     base: np.ndarray  # (3, N+1) fixed coefficients
     slots: list
     free_slots: dict  # parameter name -> slot index
-    N: int
+    N: int  # ansatz order, padded past the germ order
+    L: int  # Taylor orders of P in use
+    wanted: list  # slots that reach the germ's own orders
+    first: np.ndarray = field(init=False)  # first Taylor order of P each slot moves
+    m_stop: int = field(init=False)  # last order of P the staircase solves
 
 
 @functools.lru_cache(maxsize=None)
-def _structure(end: EndCondition, N: int) -> _Structure:
-    """Slots of an end at ansatz order N; cached and shared, so read-only."""
+def _structure(end: EndCondition, order: int) -> _Structure:
+    """Slot schedule of an end for a germ of the given order; cached and
+    shared, so read-only.  The internal ansatz is padded to order + 8 so
+    every equation in use has its coefficients."""
+    N = order + 8
     base = np.zeros((3, N + 1))
     slots = []
 
-    def add(name, placements, order):
-        slots.append(_Slot(name, placements, order))
+    def add(name, placements, lowest):
+        slots.append(_Slot(name, placements, lowest))
         return len(slots) - 1
 
     free = {}
@@ -275,7 +269,24 @@ def _structure(end: EndCondition, N: int) -> _Structure:
         raise ValueError(f"unknown end kind {end.kind!r}")
 
     assert set(free) == set(end.free), (end, free)
-    return _Structure(base, slots, free, N)
+    st = _Structure(base, slots, free, N, N + 4,
+                    [s for s, slot in enumerate(slots) if slot.order <= order])
+    # the first Taylor order of P each slot affects, at a generic point
+    n = len(slots)
+    g = np.random.default_rng(12345).uniform(0.3, 1.1, size=n)
+    base_r = _poly_residual(_apply(st, g), _LAM_GENERIC, st.L)
+    scale = max(np.max(np.abs(base_r)), 1.0)
+    probes = np.tile(g, (n, 1))
+    probes[np.arange(n), np.arange(n)] += 1.0
+    r = _poly_residual(_apply(st, probes), _LAM_GENERIC, st.L)
+    hit = np.abs(r - base_r).max(axis=1) > 1e-9 * scale  # (slots, L)
+    absent = ~hit.any(axis=1)
+    if absent.any():
+        raise GermConstructionError(
+            f"slot {slots[absent.argmax()].name} never enters the residual")
+    st.first = hit.argmax(axis=1)
+    st.m_stop = int(max(st.first[s] for s in st.wanted))
+    return st
 
 
 def _apply(structure: _Structure, values: np.ndarray) -> np.ndarray:
@@ -346,50 +357,21 @@ def _poly_residual(c, lam, L):
 # order-by-order solve
 # --------------------------------------------------------------------------
 
-_M0_CACHE = {}
-
-
-def _slot_first_orders(end: EndCondition, lam_probe, N, L):
-    """First Taylor order of P affected by each slot, at a generic point."""
-    key = (end.kind, end.collapse, end.pair, end.k, round(end.slope, 12), N)
-    if key in _M0_CACHE:
-        return _M0_CACHE[key]
-    st = _structure(end, N)
-    rng = np.random.default_rng(12345)
-    g = rng.uniform(0.3, 1.1, size=len(st.slots))
-    base_r = _poly_residual(_apply(st, g), lam_probe, L)
-    scale = max(np.max(np.abs(base_r)), 1.0)
-    m0 = np.full(len(st.slots), L, dtype=int)
-    probes = np.tile(g, (len(st.slots), 1))
-    probes[np.arange(len(st.slots)), np.arange(len(st.slots))] += 1.0
-    r = _poly_residual(_apply(st, probes), lam_probe, L)
-    delta = np.abs(r - base_r)  # (slots, 3, L)
-    hit = delta.max(axis=1) > 1e-9 * scale
-    for s in range(len(st.slots)):
-        nz = np.nonzero(hit[s])[0]
-        if nz.size == 0:
-            raise GermConstructionError(f"slot {st.slots[s].name} never enters the residual")
-        m0[s] = nz[0]
-    _M0_CACHE[key] = m0
-    return m0
-
-
-def _staircase(end, st, values, determined, lam, L, m_stop, rtol=1e-9):
+def _staircase(st, values, determined, lam):
     """Solve dependent slots order by order in place, through order m_stop."""
-    m0 = _slot_first_orders(end, lam_probe=1.7, N=st.N, L=L)
     nslots = len(st.slots)
-    for m in range(m_stop + 1):
-        S_m = [s for s in range(nslots) if not determined[s] and m0[s] == m]
+    for m in range(st.m_stop + 1):
+        S_m = [s for s in range(nslots) if not determined[s] and st.first[s] == m]
         # one batched residual call: current values plus +/- unit probes
         probes = np.tile(values, (1 + 2 * len(S_m), 1))
         for j, s in enumerate(S_m):
             probes[1 + 2 * j, s] += 1.0
             probes[2 + 2 * j, s] -= 1.0
-        r = _poly_residual(_apply(st, probes), lam, L)
+        r = _poly_residual(_apply(st, probes), lam, st.L)
         scale = max(np.max(np.abs(r[0])), 1.0)
         rm = r[0, :, m]
         if not S_m:
-            if np.max(np.abs(rm)) > rtol * scale:
+            if np.max(np.abs(rm)) > _STAIRCASE_RTOL * scale:
                 raise GermConstructionError(
                     f"inconsistent equations at order {m} with no unknowns left to fix"
                 )
@@ -408,17 +390,20 @@ def _staircase(end, st, values, determined, lam, L, m_stop, rtol=1e-9):
                 f"singular linear solve at order {m} (rank {rank} < {len(S_m)}): "
                 "resonance or misdeclared free parameter"
             )
-        if np.max(np.abs(A @ x + rm)) > max(rtol * scale, 1e-6 * np.max(np.abs(rm))):
+        if np.max(np.abs(A @ x + rm)) > max(_STAIRCASE_RTOL * scale, 1e-6 * np.max(np.abs(rm))):
             raise GermConstructionError(f"inconsistent linear system at order {m}")
         values[S_m] += x
         for s in S_m:
             determined[s] = True
-    return m_stop
 
 
 # --------------------------------------------------------------------------
 # public germ interface
 # --------------------------------------------------------------------------
+
+# the germ's validity window is (0, _RADIUS] in its local coordinate
+_RADIUS = 0.5
+
 
 @dataclass(frozen=True)
 class SeriesGerm:
@@ -430,13 +415,12 @@ class SeriesGerm:
     order: int
     coeffs: np.ndarray  # (3, order+1)
     free_values: dict
-    radius: float = 0.5
 
     def eval(self, t):
         """(f, df) at local coordinate t; t may be an array."""
         t = np.asarray(t, dtype=float)
-        if np.any(t > self.radius) or np.any(t <= 0.0):
-            raise ValueError(f"t outside germ validity window (0, {self.radius}]")
+        if np.any(t > _RADIUS) or np.any(t <= 0.0):
+            raise ValueError(f"t outside germ validity window (0, {_RADIUS}]")
         powers = t[..., None, None] ** np.arange(self.order + 1)
         f = np.sum(self.coeffs * powers, axis=-1)
         dcoef = _pder(self.coeffs)
@@ -449,12 +433,8 @@ class SeriesGerm:
         powers = t[..., None, None] ** np.arange(dd.shape[-1])
         return np.sum(dd * powers, axis=-1)
 
-    def state(self, t) -> FrameState:
-        f, df = self.eval(t)
-        return FrameState(float(t), f, df)
 
-
-def series_solve(end: EndCondition, free, lam, order=8, radius=0.5) -> SeriesGerm:
+def series_solve(end: EndCondition, free, lam, order=8) -> SeriesGerm:
     """Construct the Taylor germ with the given free-parameter values.
 
     free: mapping of the end's free parameter names to values, or a sequence
@@ -470,40 +450,32 @@ def series_solve(end: EndCondition, free, lam, order=8, radius=0.5) -> SeriesGer
         if name in free and free[name] <= 0.0:
             raise ValueError(f"germ parameter {name} must be positive, got {free[name]}")
 
-    # pad the internal ansatz so every equation we use has its coefficients
-    n_big = order + 8
-    st = _structure(end, n_big)
-    L = n_big + 4
-    m0 = _slot_first_orders(end, lam_probe=1.7, N=n_big, L=L)
-    wanted = [s for s, slot in enumerate(st.slots) if slot.order <= order]
-    m_stop = int(max(m0[s] for s in wanted))
+    st = _structure(end, order)
     values = np.zeros(len(st.slots))
     determined = np.zeros(len(st.slots), dtype=bool)
     for name, s in st.free_slots.items():
         values[s] = free[name]
         determined[s] = True
-    _staircase(end, st, values, determined, lam, L, m_stop)
-    missing = [st.slots[s].name for s in wanted if not determined[s]]
+    _staircase(st, values, determined, lam)
+    missing = [st.slots[s].name for s in st.wanted if not determined[s]]
     if missing:
         raise GermConstructionError(f"coefficients left undetermined: {missing}")
     coeffs = _apply(st, values)[:, : order + 1]
-    return SeriesGerm(end, lam, order, coeffs, dict(free), radius)
+    return SeriesGerm(end, lam, order, coeffs, dict(free))
 
 
-def germ_eval(germ: SeriesGerm, t) -> FrameState:
-    return germ.state(t)
-
-
+# relative equation defect a germ must reach at its hand-off offset
+_DEFECT_TARGET = 1e-12
 # The relative defect of an order-8 circle-end germ (su2_cp2, su2_cp2bar)
 # bottoms out at 2-5e-12 of rounding below offset 0.02, so it can miss
-# the default 1e-12 target by the noise alone; a miss within this factor is
-# that floor, not a germ too short for its target.
+# the 1e-12 target by the noise alone; a miss within this factor is that
+# floor, not a germ too short for the target.
 _DEFECT_SLACK = 10.0
 
 
-def germ_start_offset(germ: SeriesGerm, target=1e-12):
+def germ_start_offset(germ: SeriesGerm):
     """Largest handoff offset at which the truncated germ still satisfies the
-    second-order system to the requested accuracy.
+    second-order system to ``_DEFECT_TARGET``.
 
     Compares the germ's own second derivative against the right-hand side
     evaluated on (f, df) over a log-spaced grid and picks the largest offset
@@ -514,7 +486,7 @@ def germ_start_offset(germ: SeriesGerm, target=1e-12):
     """
     from .core import frame_rhs
 
-    eps_grid = germ.radius * np.logspace(-0.5, -3.0, 26)
+    eps_grid = _RADIUS * np.logspace(-0.5, -3.0, 26)
     best, best_defect = eps_grid[-1], np.inf
     for eps in eps_grid:
         f, df = germ.eval(eps)
@@ -528,48 +500,44 @@ def germ_start_offset(germ: SeriesGerm, target=1e-12):
         # relative defect: near a collapse the rhs grows like 1/t^2 and the
         # absolute defect bottoms out at roundoff of that magnitude
         defect = np.max(np.abs(rhs - germ.eval_second(eps))) / (1.0 + np.max(np.abs(rhs)))
-        if defect < target:
+        if defect < _DEFECT_TARGET:
             return float(eps)
         if defect < best_defect:
             best, best_defect = eps, defect
-    if best_defect < _DEFECT_SLACK * target:
+    if best_defect < _DEFECT_SLACK * _DEFECT_TARGET:
         return float(best)
     raise GermConstructionError(
         f"no hand-off offset down to {eps_grid[-1]:.3g} meets the defect target "
-        f"{target:.3g}; the least defect is {best_defect:.3g}"
+        f"{_DEFECT_TARGET:.3g}; the least defect is {best_defect:.3g}"
     )
 
 
-def discover_free_parameters(end: EndCondition, lam=1.7, order=8):
+def discover_free_parameters(end: EndCondition):
     """Constructively find which germ coefficients the staircase cannot fix.
 
     Runs the order-by-order solve with no declared free parameters; whenever
     the linear system at some order is rank deficient, the excess directions
     are pinned (largest null-vector component, lowest order first) and
-    reported as free.  Returns slot names in discovery order.
+    reported as free.  Works on an order-8 germ at a generic lambda.
+    Returns slot names in discovery order.
     """
-    n_big = order + 8
-    st = _structure(end, n_big)
-    L = n_big + 4
-    m0 = _slot_first_orders(end, lam_probe=1.7, N=n_big, L=L)
-    wanted = [s for s, slot in enumerate(st.slots) if slot.order <= order]
-    m_stop = int(max(m0[s] for s in wanted))
+    st = _structure(end, 8)
     rng = np.random.default_rng(777)
     values = rng.uniform(0.4, 1.2, size=len(st.slots))
     determined = np.zeros(len(st.slots), dtype=bool)
     freed = []
-    for m in range(m_stop + 1):
-        S_m = [s for s in range(len(st.slots)) if not determined[s] and m0[s] == m]
+    for m in range(st.m_stop + 1):
+        S_m = [s for s in range(len(st.slots)) if not determined[s] and st.first[s] == m]
         if not S_m:
             continue
-        r = _poly_residual(_apply(st, values), lam, L)
+        r = _poly_residual(_apply(st, values), _LAM_GENERIC, st.L)
         rm = r[:, m]
         plus = np.tile(values, (len(S_m), 1))
         minus = plus.copy()
         plus[np.arange(len(S_m)), S_m] += 1.0
         minus[np.arange(len(S_m)), S_m] -= 1.0
-        rp = _poly_residual(_apply(st, plus), lam, L)[:, :, m]
-        rn = _poly_residual(_apply(st, minus), lam, L)[:, :, m]
+        rp = _poly_residual(_apply(st, plus), _LAM_GENERIC, st.L)[:, :, m]
+        rn = _poly_residual(_apply(st, minus), _LAM_GENERIC, st.L)[:, :, m]
         A = 0.5 * (rp - rn).T
         while True:
             rank = np.linalg.matrix_rank(A, tol=1e-8 * max(1.0, np.abs(A).max()))
@@ -635,23 +603,23 @@ class DecayReport:
     passed: bool
 
 
-def germ_decay_check(ts, X, p: IndicialProblem, noise_floor=1e-9, tol=0.2) -> DecayReport:
+def germ_decay_check(ts, X, p: IndicialProblem) -> DecayReport:
     """Check the leading vanishing order of a 2-component quantity near an end.
 
     ts: local coordinates approaching 0; X: shape (len(ts), 2).  Fits the
     slope of log |X| against log t and accepts if it matches an eigenvalue of
-    the indicial matrix within tol, or if X sits below the noise floor.
+    the indicial matrix within 0.2, or if X sits below a noise floor of 1e-9.
     """
     ts = np.asarray(ts, dtype=float)
     X = np.asarray(X, dtype=float)
     if ts.size < 4:
         raise ValueError("need at least 4 samples for a decay fit")
     mag = np.linalg.norm(X, axis=1)
-    if np.max(mag) < noise_floor:
+    if np.max(mag) < 1e-9:
         return DecayReport(True, None, None, True)
     good = mag > 1e-300
     slope, _ = np.polyfit(np.log(ts[good]), np.log(mag[good]), 1)
     eigs = indicial_eigenvalues(p)
     nearest = min(eigs, key=lambda e: abs(e - slope))
-    ok = abs(nearest - slope) <= tol
+    ok = abs(nearest - slope) <= 0.2
     return DecayReport(False, float(slope), float(nearest) if ok else None, ok)

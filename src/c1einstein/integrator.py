@@ -14,8 +14,7 @@ import numpy as np
 
 from . import core
 
-__all__ = ["Trajectory", "HandoffError", "integrate", "integrate_frame", "integrate_germ",
-           "drift_report"]
+__all__ = ["Trajectory", "HandoffError", "integrate_frame", "integrate_germ", "drift_report"]
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -31,9 +30,10 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _ERR = _B5 - _B4
 
-
-class StepFailure(RuntimeError):
-    pass
+# a leg stops as a collapse once some f_i falls to _COLLAPSE_FLOOR, and
+# gives up as a step failure after _MAX_STEPS accepted and rejected steps
+_COLLAPSE_FLOOR = 1e-8
+_MAX_STEPS = 100000
 
 
 @dataclass
@@ -88,9 +88,7 @@ class Trajectory:
         else:
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
             f, df = self.eval(ts)
-        L, R, _ = core.lr_from_frame(f, df)
-        A, B = core.ab_coeffs(L, R)
-        a, b = core.curv_eigs(R, A, B)
+        L, R, A, B, a, b = core.frame_curvature(f, df)
         return {"t": np.asarray(ts, dtype=float), "f": f, "df": df,
                 "L": L, "R": R, "A": A, "B": B, "a": a, "b": b,
                 "constraint": core.constraint_residual(L, R, self.lam)}
@@ -105,7 +103,7 @@ def rhs_vector(y, lam):
 _rhs = rhs_vector
 
 
-def _hermite_root(t0, t1, y0, y1, d0, d1, test, tol=1e-13):
+def _hermite_root(t0, t1, y0, y1, d0, d1, test):
     """Bisect the Hermite interpolant for the first time where test() flips."""
     h = t1 - t0
     if h <= 0.0:
@@ -126,14 +124,13 @@ def _hermite_root(t0, t1, y0, y1, d0, d1, test, tol=1e-13):
             hi = mid
         else:
             lo = mid
-        if hi - lo < tol * max(1.0, abs(t1)):
+        if hi - lo < 1e-13 * max(1.0, abs(t1)):
             break
     return hi, val(hi)
 
 
 def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
-                    collapse_floor=1e-8, blowup_ceiling=1e6,
-                    max_steps=100000) -> Trajectory:
+                    blowup_ceiling=1e6) -> Trajectory:
     """Integrate the frame system forward from (f0, df0) at t0 to t_target."""
     if t_target <= t0:
         raise ValueError("t_target must exceed t0")
@@ -147,7 +144,7 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
     n_acc = n_rej = 0
     reason = "step_failure"
     K = np.empty((7, 6))
-    while n_acc + n_rej < max_steps:
+    while n_acc + n_rej < _MAX_STEPS:
         h = min(h, t_target - t)
         K[0] = k7
         try:
@@ -169,11 +166,11 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             t_new = t + h
             k_new = K[6]
             f5 = y5[:3].tolist()
-            collapsed = min(f5) <= collapse_floor
+            collapsed = min(f5) <= _COLLAPSE_FLOOR
             blown = max(map(abs, f5)) >= blowup_ceiling
             if collapsed or blown:
                 if collapsed:
-                    flip = lambda v: np.min(v[:3]) <= collapse_floor
+                    flip = lambda v: np.min(v[:3]) <= _COLLAPSE_FLOOR
                     reason = "collapse_event"
                 else:
                     flip = lambda v: np.max(np.abs(v[:3])) >= blowup_ceiling
@@ -210,34 +207,17 @@ class HandoffError(ValueError):
     """The germ hand-off offset is not below the leg's target time."""
 
 
-def integrate_germ(germ, t_target, eps=None, defect_target=1e-12, **kw) -> Trajectory:
+def integrate_germ(germ, t_target, **kw) -> Trajectory:
     """Integrate away from a singular orbit, handing off from the Taylor germ
-    at an offset where its equation defect is below defect_target."""
+    at the offset ``germs.germ_start_offset`` picks."""
     from .germs import germ_start_offset
 
-    if eps is None:
-        eps = germ_start_offset(germ, target=defect_target)
+    eps = germ_start_offset(germ)
     if eps >= t_target:
         raise HandoffError(f"germ hand-off offset {eps:.6g} is not below "
                            f"the target {t_target:.6g}")
     f0, df0 = germ.eval(eps)
     return integrate_frame(f0, df0, eps, t_target, germ.lam, **kw)
-
-
-def integrate(state, direction, t_target, lam, **kw) -> Trajectory:
-    """Direction-aware wrapper around integrate_frame.
-
-    direction=-1 integrates toward decreasing t; the returned trajectory is
-    given in mirrored time s = t0 - t so that its own time axis increases.
-    """
-    f0 = np.asarray(state.f, dtype=float)
-    df0 = np.asarray(state.df, dtype=float)
-    if direction == 1:
-        return integrate_frame(f0, df0, state.t, t_target, lam, **kw)
-    if direction == -1:
-        # the system is invariant under t -> -t with df -> -df
-        return integrate_frame(f0, -df0, 0.0, state.t - t_target, lam, **kw)
-    raise ValueError("direction must be +1 or -1")
 
 
 def drift_report(traj: Trajectory):

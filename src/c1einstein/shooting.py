@@ -38,6 +38,7 @@ _PENALTY = 1e3
 # blow-up ceiling on |f| in the lambda = 3 gauge: solved profiles stay below
 # 4.1, and an su2_s4 scan-box leg past 10 is within 8e-4 in t of |f| = 1e6
 _BLOWUP = 10.0
+_FD_STEP = 1e-7
 # (f, f') under t -> T - t
 _MIRROR = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
@@ -61,7 +62,6 @@ class ShootingProblem:
     germ_order: int = 8
     rtol: float = 1e-11
     atol: float = 1e-13
-    defect_target: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
@@ -175,7 +175,7 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
     frees = (left, right)
     same = [base is not None and bool(base.germs)
             and base.germs[i].free_values == frees[i] for i in range(2)]
-    kw = dict(rtol=pr.rtol, atol=pr.atol, defect_target=pr.defect_target)
+    kw = dict(rtol=pr.rtol, atol=pr.atol)
     if pr.lam > 0.0:
         kw["blowup_ceiling"] = _BLOWUP * math.sqrt(3.0 / pr.lam)
     try:
@@ -226,7 +226,7 @@ def _assemble(pr: ShootingProblem, T, shot: Shot):
                       trl.n_rejected + trr.n_rejected)
 
 
-def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9, fd_step=1e-7) -> SolutionReport:
+def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
     """Damped Gauss-Newton on the match residual with a forward-difference
     Jacobian.  Raises NonConvergence with the best iterate on failure.
     Logs each step's residual norm to the "c1einstein" logger at DEBUG."""
@@ -240,7 +240,7 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9, fd_step=1e-7) -> So
         # unknown feeds: a germ parameter one germ and leg, T both legs
         J = np.empty((6, len(u)))
         for i in range(len(u)):
-            h = fd_step * (1.0 + abs(u[i]))
+            h = _FD_STEP * (1.0 + abs(u[i]))
             up = u.copy()
             up[i] += h
             J[:, i] = (match_residual(pr, up, base=shot) - shot.residual) / h

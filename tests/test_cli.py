@@ -9,6 +9,7 @@ from c1einstein import cli
 from c1einstein.cli import (CSV_HEADER, ConfigError, EXIT_CHECK_FAILURE,
                             EXIT_NONCONVERGENCE, EXIT_PASS, EXIT_USAGE, emit,
                             load_config, read_solution_csv, run)
+from c1einstein.presets import initial_guess
 from c1einstein.shooting import NonConvergence
 
 
@@ -219,3 +220,21 @@ def test_config_keys_and_tol_reach_the_problem(tmp_path, monkeypatch):
         0.35, 9, 1e-8, 1e-9)
     assert (with_tol.theta, with_tol.germ_order, with_tol.rtol, with_tol.atol) == (
         0.35, 9, 1e-10, 1e-10 * 1e-2)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "report"])
+def test_perturb_and_seed_reach_every_solving_command(tmp_path, monkeypatch, command):
+    guesses = []
+
+    def stop(pr, guess, **kw):
+        guesses.append(guess)
+        raise NonConvergence("stopped before solving")
+
+    monkeypatch.setattr(cli, "solve", stop)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("perturb = 0.05\nseed = 3\n")
+    assert run([command, "--diagram", "so3_cp2", "--config", str(cfg),
+                "--out", str(tmp_path / "o")]) == EXIT_NONCONVERGENCE
+    shipped = initial_guess("so3_cp2")
+    rng = np.random.default_rng(3)
+    assert np.array_equal(guesses[0], shipped * (1.0 + 0.05 * rng.uniform(-1, 1, 5)))

@@ -29,27 +29,9 @@ def random_state(rng):
 # basic contracts
 # ---------------------------------------------------------------------------
 
-def test_triple_accepts_scalars_and_sequences():
-    assert np.allclose(core.triple(1, 2, 3), [1.0, 2.0, 3.0])
-    assert np.allclose(core.triple([1, 2, 3], None), [1.0, 2.0, 3.0])
-
-
-def test_triple_rejects_bad_shapes_and_nonfinite():
-    with pytest.raises(ValueError):
-        core.triple([1.0, 2.0], None)
-    with pytest.raises(ValueError):
-        core.triple(1.0, np.nan, 3.0)
-
-
 def test_positive_profile_enforced_with_index_in_message():
     with pytest.raises(ValueError, match="f_2"):
         core.lr_from_frame([1.0, -0.5, 1.0], [0.0, 0.0, 0.0])
-
-
-def test_frame_state_require_positive():
-    st_ = core.FrameState(0.5, np.array([1.0, 1.0, 0.0]), np.zeros(3))
-    with pytest.raises(ValueError, match="f_3"):
-        st_.require_positive()
 
 
 def test_lr_from_frame_round_values():

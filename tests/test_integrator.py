@@ -7,9 +7,8 @@ import pytest
 
 from c1einstein import core
 from c1einstein.germs import get_diagram, series_solve
-from c1einstein.integrator import (Trajectory, drift_report, integrate,
-                                   integrate_frame, integrate_germ,
-                                   rhs_vector)
+from c1einstein.integrator import (Trajectory, drift_report, integrate_frame,
+                                   integrate_germ, rhs_vector)
 from c1einstein.oracles import oracle
 
 S2 = np.sqrt(2.0)
@@ -117,21 +116,6 @@ def test_time_reversal_consistency():
     fb, dfb = bwd.eval(t1 - t0)
     assert np.max(np.abs(fb[0] - prof.f(t0))) < 1e-8
     assert np.max(np.abs(-dfb[0] - prof.df(t0))) < 1e-8
-
-
-def test_integrate_wrapper_directions():
-    prof = oracle("round_su2", lam=3.0)
-    st = core.FrameState(t=1.2, f=prof.f(1.2), df=prof.df(1.2))
-    fwd = integrate(st, 1, 2.0, 3.0)
-    assert fwd.t_end == pytest.approx(2.0)
-    bwd = integrate(st, -1, 0.4, 3.0)
-    # mirrored time: s = t0 - t, so s_end = 0.8 and f matches at t = 0.4
-    assert bwd.t_end == pytest.approx(0.8)
-    f, df = bwd.eval(0.8)
-    assert np.max(np.abs(f[0] - prof.f(0.4))) < 1e-8
-    assert np.max(np.abs(df[0] + prof.df(0.4))) < 1e-8
-    with pytest.raises(ValueError):
-        integrate(st, 0, 2.0, 3.0)
 
 
 def test_eval_range_checked():

@@ -67,8 +67,8 @@ def test_failed_shots_say_why():
     # the germ hands off further out than the match point
     short = shooting.shoot(pr, [-1 / 6] * 4 + [0.01])
     assert short.failure == "handoff" and np.all(short.residual == 1e3)
-    # no hand-off offset of a 4th-order germ meets a 1e-30 defect target
-    missed = ShootingProblem(get_diagram("su2_s4"), germ_order=4, defect_target=1e-30)
+    # no hand-off offset of a 4th-order germ meets the 1e-12 defect target
+    missed = ShootingProblem(get_diagram("su2_s4"), germ_order=4)
     assert shooting.shoot(missed, exact).failure == "germ"
     # an admissible mirror end whose f = h - c t + ... is not positive at
     # the first offset the hand-off search tries
