@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NonPositiveProfile",
     "GapState",
     "lr_from_frame",
     "lr_rhs",
@@ -43,12 +44,16 @@ class GapState:
     role: str  # "F": (a1-a2, a1-a3); "E": (b2-b1, b2-b3)
 
 
+class NonPositiveProfile(ValueError):
+    """Some f_i is not positive, so the frame quantities are undefined."""
+
+
 def _check_positive(f):
     f = np.asarray(f, dtype=float)
     bad = np.argwhere(f <= 0.0)
     if bad.size:
         at = tuple(bad[0])
-        raise ValueError(f"f_{at[-1] + 1} = {f[at]} must be positive")
+        raise NonPositiveProfile(f"f_{at[-1] + 1} = {f[at]} must be positive")
     return f
 
 
@@ -98,7 +103,7 @@ def frame_rhs(f, df, lam):
     d1, d2, d3 = np.asarray(df, dtype=float).tolist()
     if f1 <= 0.0 or f2 <= 0.0 or f3 <= 0.0:
         i = next(i for i, x in enumerate(f) if x <= 0.0)
-        raise ValueError(f"f_{i + 1} = {f[i]} must be positive")
+        raise NonPositiveProfile(f"f_{i + 1} = {f[i]} must be positive")
     try:
         return np.array(_frame_rhs(f1, f2, f3, d1, d2, d3, lam))
     except ZeroDivisionError:

@@ -239,9 +239,8 @@ def max_principle_check(sr: SolutionReport, pairs=((1, 2), (2, 3), (3, 1))):
         u = np.log(f[:, i - 1] / f[:, j - 1])
         m = int(np.argmax(u))
         # equation residual at the extremum from analytic second derivatives
-        ft, dft = traj.eval(np.array([ts[m]]))
-        ddf = core.frame_rhs(ft[0], dft[0], sr.lam)
-        res = core.uij_residual(ft[0], dft[0], ddf)
+        ddf = core.frame_rhs(f[m], df[m], sr.lam)
+        res = core.uij_residual(f[m], df[m], ddf)
         # the ratio equation is antisymmetric under swapping the pair
         try:
             pair_pos, sign = {(1, 2): (0, 1.0), (2, 3): (1, 1.0),

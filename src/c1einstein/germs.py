@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import J, K
+from .core import J, K, NonPositiveProfile
 
 __all__ = [
     "GroupDiagram",
@@ -163,9 +163,12 @@ def get_diagram(case_id, k=0) -> GroupDiagram:
             np.pi**2 / 4.0, k=k,
         )
     try:
-        return _CATALOG[case_id]
+        diagram = _CATALOG[case_id]
     except KeyError:
         raise ValueError(f"unknown diagram id {case_id!r}") from None
+    if k != 0:
+        raise ValueError(f"diagram {case_id!r} has no cone order k, got k = {k!r}")
+    return diagram
 
 
 def diagram_catalog():
@@ -492,7 +495,7 @@ def germ_start_offset(germ: SeriesGerm):
         f, df = germ.eval(eps)
         try:
             rhs = frame_rhs(f, df, germ.lam)
-        except ValueError as exc:
+        except NonPositiveProfile as exc:
             # a mirror end's f = h -/+ c t + ... can cross zero inside the
             # radius when h is small against c
             raise GermConstructionError(

@@ -5,7 +5,9 @@ the Dormand-Prince 5(4) embedded pair under PI step-size control; accepted
 steps keep endpoint values and slopes so trajectories can be re-evaluated
 anywhere by cubic Hermite interpolation.  Integration stops at the target
 time, at a collapse event (some f_i falls to the floor), at a blowup event
-(some f_i exceeds the ceiling), or on step-size failure.
+(some f_i exceeds the ceiling), or on step-size failure.  An event ends the
+leg at the accepted step that crossed the floor or ceiling: that step is
+kept as the last sample, and the crossing time is not refined further.
 """
 
 from dataclasses import dataclass
@@ -30,8 +32,9 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _ERR = _B5 - _B4
 
-# a leg stops as a collapse once some f_i falls to _COLLAPSE_FLOOR, and
-# gives up as a step failure after _MAX_STEPS accepted and rejected steps
+# a leg stops as a collapse at the first accepted step with some f_i at or
+# below _COLLAPSE_FLOOR, and gives up as a step failure after _MAX_STEPS
+# accepted and rejected steps
 _COLLAPSE_FLOOR = 1e-8
 _MAX_STEPS = 100000
 
@@ -100,35 +103,6 @@ def rhs_vector(y, lam):
     return np.concatenate([df, core.frame_rhs(f, df, lam)])
 
 
-_rhs = rhs_vector
-
-
-def _hermite_root(t0, t1, y0, y1, d0, d1, test):
-    """Bisect the Hermite interpolant for the first time where test() flips."""
-    h = t1 - t0
-    if h <= 0.0:
-        return t1, y1
-
-    def val(t):
-        s = (t - t0) / h
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        return h00 * y0 + h10 * d0 * h + h01 * y1 + h11 * d1 * h
-
-    lo, hi = t0, t1
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if test(val(mid)):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-13 * max(1.0, abs(t1)):
-            break
-    return hi, val(hi)
-
-
 def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
                     blowup_ceiling=1e6) -> Trajectory:
     """Integrate the frame system forward from (f0, df0) at t0 to t_target."""
@@ -136,7 +110,7 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
         raise ValueError("t_target must exceed t0")
     y = np.concatenate([np.asarray(f0, dtype=float), np.asarray(df0, dtype=float)])
     t = t0
-    k7 = _rhs(y, lam)  # FSAL slot
+    k7 = rhs_vector(y, lam)  # FSAL slot
     ts, ys, dys = [t], [y.copy()], [k7.copy()]
     # initial step from the slope scale
     h = min(1e-3 * (1 + np.max(np.abs(y))) / (1 + np.max(np.abs(k7))), t_target - t0)
@@ -149,10 +123,10 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
         K[0] = k7
         try:
             for i in range(1, 6):
-                K[i] = _rhs(y + h * (_A[i, :i] @ K[:i]), lam)
+                K[i] = rhs_vector(y + h * (_A[i, :i] @ K[:i]), lam)
             y5 = y + h * (_B5[:6] @ K[:6])
-            K[6] = _rhs(y5, lam)
-        except (ValueError, FloatingPointError):
+            K[6] = rhs_vector(y5, lam)
+        except core.NonPositiveProfile:
             # stepped over a collapse; retry shorter
             n_rej += 1
             h *= 0.25
@@ -163,30 +137,18 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         err = np.sqrt(np.add.reduce((err_vec / sc) ** 2) / 6)
         if err <= 1.0:
-            t_new = t + h
-            k_new = K[6]
-            f5 = y5[:3].tolist()
-            collapsed = min(f5) <= _COLLAPSE_FLOOR
-            blown = max(map(abs, f5)) >= blowup_ceiling
-            if collapsed or blown:
-                if collapsed:
-                    flip = lambda v: np.min(v[:3]) <= _COLLAPSE_FLOOR
-                    reason = "collapse_event"
-                else:
-                    flip = lambda v: np.max(np.abs(v[:3])) >= blowup_ceiling
-                    reason = "blowup_event"
-                t_ev, y_ev = _hermite_root(t, t_new, y, y5, K[0], k_new, flip)
-                if t_ev > ts[-1] + 1e-15 * (1.0 + abs(t_ev)):
-                    ts.append(t_ev)
-                    ys.append(y_ev)
-                    dys.append(_rhs(y_ev, lam) if np.min(y_ev[:3]) > 0 else k_new)
-                    n_acc += 1
-                break
-            t, y, k7 = t_new, y5, k_new
+            t, y, k7 = t + h, y5, K[6]
             ts.append(t)
             ys.append(y)  # y5 is a fresh array each step
             dys.append(k7.copy())
             n_acc += 1
+            f5 = y5[:3].tolist()
+            if min(f5) <= _COLLAPSE_FLOOR:
+                reason = "collapse_event"
+                break
+            if max(map(abs, f5)) >= blowup_ceiling:
+                reason = "blowup_event"
+                break
             if t >= t_target - 1e-14 * max(1.0, abs(t_target)):
                 reason = "reached_target"
                 break

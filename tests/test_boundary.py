@@ -70,6 +70,14 @@ def test_non_integer_cone_order_rejected():
     assert get_diagram("so3_hitchin", np.int64(3)).k == 3
 
 
+def test_cone_order_rejected_where_the_diagram_has_none():
+    for cid in DIAGRAM_IDS:
+        if cid != "so3_hitchin":
+            assert get_diagram(cid, 0).case_id == cid
+            with pytest.raises(ValueError, match="k = 5"):
+                get_diagram(cid, 5)
+
+
 def test_hitchin_k1_is_the_smooth_so3_sphere_diagram():
     d1 = get_diagram("so3_hitchin", 1)
     d0 = get_diagram("so3_s4")

@@ -170,6 +170,14 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["--help"]) == EXIT_PASS
 
 
+def test_cone_order_on_a_diagram_without_one_is_a_usage_error(tmp_path, capsys):
+    assert run(["report", "--diagram", "su2_s4", "--k", "5"]) == EXIT_USAGE
+    assert "k = 5" in capsys.readouterr().err
+    assert run(["solve", "--diagram", "so3_s4", "--k", "1",
+                "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert not (tmp_path / "o").exists()
+
+
 def test_scan_command(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("scan_width = 0.05\nscan_points = 2\n")

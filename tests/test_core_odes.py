@@ -54,6 +54,13 @@ def test_frame_rhs_rejects_nonpositive_component(i, bad):
         core.frame_rhs(f, [0.0, 0.0, 0.0], 3.0)
 
 
+def test_positivity_failures_are_typed():
+    with pytest.raises(core.NonPositiveProfile):
+        core.frame_rhs([1.0, 0.0, 1.0], [0.0, 0.0, 0.0], 3.0)
+    with pytest.raises(core.NonPositiveProfile):
+        core.uij_residual([1.0, 1.0, -1.0], [0.0] * 3, [0.0] * 3)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_frame_rhs_underflow_gives_nan_not_an_exception():
     # f_j f_k underflows to zero: numpy's inf/nan, never ZeroDivisionError

@@ -77,12 +77,61 @@ def test_collapse_event_at_the_far_pole():
     assert np.min(traj.f[-1]) <= 1.1e-8
 
 
-def test_blowup_event():
+def _blowup_traj():
     # frozen frame with strong outward slopes blows up in finite time
-    traj = integrate_frame([1.0, 1.0, 1.0], [3.0, 3.0, 3.0], 0.0, 50.0,
+    return integrate_frame([1.0, 1.0, 1.0], [3.0, 3.0, 3.0], 0.0, 50.0,
                            -3.0, blowup_ceiling=1e3)
+
+
+def test_blowup_event():
+    traj = _blowup_traj()
     assert traj.reason == "blowup_event"
     assert np.max(np.abs(traj.f[-1])) >= 1e3 * (1 - 1e-9)
+
+
+def test_an_event_ends_the_leg_at_the_step_that_crossed():
+    _, collapse = _round_traj(t_end=4.0)
+    blowup = _blowup_traj()
+    assert collapse.reason == "collapse_event"
+    assert np.all(np.min(collapse.f[:-1], axis=1) > 1e-8)
+    assert np.min(collapse.f[-1]) <= 1e-8
+    assert blowup.reason == "blowup_event"
+    assert np.all(np.max(np.abs(blowup.f[:-1]), axis=1) < 1e3)
+    assert np.max(np.abs(blowup.f[-1])) >= 1e3
+
+
+def test_a_stopped_leg_spends_six_rhs_calls_per_step(monkeypatch):
+    # one FSAL evaluation at the start, then six per attempted step; no
+    # extra evaluation locates the event inside the last step
+    real = core.frame_rhs
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(core, "frame_rhs", counted)
+    traj = _blowup_traj()
+    assert traj.reason == "blowup_event"
+    assert len(calls) == 1 + 6 * (traj.n_accepted + traj.n_rejected)
+
+
+def test_only_a_nonpositive_profile_shortens_the_step(monkeypatch):
+    # a ValueError other than core.NonPositiveProfile is a fault, not a
+    # step over a collapse, and must not be retried into a step_failure leg
+    real = core.frame_rhs
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) > 1:
+            raise ValueError("not a positivity failure")
+        return real(*args)
+
+    monkeypatch.setattr(core, "frame_rhs", failing)
+    with pytest.raises(ValueError, match="not a positivity failure"):
+        _round_traj()
+    assert len(calls) == 2
 
 
 def test_tolerance_scaling():
