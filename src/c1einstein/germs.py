@@ -35,7 +35,6 @@ __all__ = [
     "get_diagram",
     "series_solve",
     "germ_start_offset",
-    "discover_free_parameters",
     "indicial_eigenvalues",
     "indicial_catalog",
     "germ_decay_check",
@@ -181,22 +180,16 @@ def diagram_catalog():
 # slot structure of an end
 # --------------------------------------------------------------------------
 
-@dataclass
-class _Slot:
-    name: str
-    placements: list  # [(i, n, coefficient)]
-    order: int  # smallest Taylor power it touches
-
-
-# a generic Einstein constant, for probing and discovery
+# a generic Einstein constant, for the first-order scan
 _LAM_GENERIC = 1.7
 _STAIRCASE_RTOL = 1e-9
 
 
 @dataclass
 class _Structure:
-    base: np.ndarray  # (3, N+1) fixed coefficients
-    slots: list
+    base: np.ndarray  # (3*(N+1),) fixed coefficients, flattened
+    E: np.ndarray  # (slots, 3*(N+1)) placement of each slot's value
+    names: list  # slot names, in slot order
     free_slots: dict  # parameter name -> slot index
     N: int  # ansatz order, padded past the germ order
     L: int  # Taylor orders of P in use
@@ -212,95 +205,83 @@ def _structure(end: EndCondition, order: int) -> _Structure:
     every equation in use has its coefficients."""
     N = order + 8
     base = np.zeros((3, N + 1))
-    slots = []
+    names, rows, lowest = [], [], []
 
-    def add(name, placements, lowest):
-        slots.append(_Slot(name, placements, lowest))
-        return len(slots) - 1
+    def add(name, n, *placements):
+        """A slot whose smallest Taylor power is n; placements are
+        (direction, power, coefficient)."""
+        row = np.zeros((3, N + 1))
+        for i, p, coef in placements:
+            row[i, p] = coef
+        names.append(name)
+        rows.append(row.ravel())
+        lowest.append(n)
 
-    free = {}
+    # each collapsing direction: slope * t plus the odd powers
+    for a in end.collapse:
+        base[a, 1] = end.slope
+        for n in range(3, N + 1, 2):
+            add(f"c{a + 1},{n}", n, (a, n, 1.0))
+    b, c = end.pair or (None, None)
     if end.kind == "fixed_point":
-        for i in range(3):
-            base[i, 1] = 1.0
-            for n in range(3, N + 1, 2):
-                s = add(f"c{i + 1},{n}", [(i, n, 1.0)], n)
-                if n == 3 and i == 0:
-                    free["da"] = s
-                if n == 3 and i == 1:
-                    free["db"] = s
+        pins = ("c1,3", "c2,3")
     elif end.kind == "mirror":
-        (a,), (b, c) = end.collapse, end.pair
-        base[a, 1] = end.slope
-        for n in range(3, N + 1, 2):
-            add(f"c{a + 1},{n}", [(a, n, 1.0)], n)
         for n in range(N + 1):
-            s = add(f"c{b + 1},{n}", [(b, n, 1.0), (c, n, (-1.0) ** n)], n)
-            if n == 0:
-                free["h"] = s
-            elif n == 1:
-                free["c"] = s
+            add(f"c{b + 1},{n}", n, (b, n, 1.0), (c, n, (-1.0) ** n))
+        pins = (f"c{b + 1},0", f"c{b + 1},1")
     elif end.kind in ("even_pair", "circle"):
-        (a,), (b, c) = end.collapse, end.pair
-        base[a, 1] = end.slope
-        for n in range(3, N + 1, 2):
-            add(f"c{a + 1},{n}", [(a, n, 1.0)], n)
-        free["q"] = add("q", [(b, 0, 1.0), (c, 0, 1.0)], 0)
+        add("q", 0, (b, 0, 1.0), (c, 0, 1.0))
+        lo = 2
         if end.kind == "circle":
-            add("e2", [(b, 2, 1.0), (c, 2, 1.0)], 2)
+            add("e2", 2, (b, 2, 1.0), (c, 2, 1.0))
             lo = 4
-        else:
-            lo = 2
         for n in range(lo, N + 1, 2):
             for i in (b, c):
-                s = add(f"c{i + 1},{n}", [(i, n, 1.0)], n)
-                if i == c and n == lo:
-                    free["d2" if end.kind == "even_pair" else "d4"] = s
+                add(f"c{i + 1},{n}", n, (i, n, 1.0))
+        pins = ("q", f"c{c + 1},{lo}")
     elif end.kind == "orbifold":
-        (a,), (b, c) = end.collapse, end.pair
-        k = end.k
-        base[a, 1] = end.slope
-        for n in range(3, N + 1, 2):
-            add(f"c{a + 1},{n}", [(a, n, 1.0)], n)
-        free["q"] = add("q", [(b, 0, 1.0), (c, 0, 1.0)], 0)
+        add("q", 0, (b, 0, 1.0), (c, 0, 1.0))
         for n in range(2, N + 1, 2):
-            add(f"p{n}", [(b, n, 1.0), (c, n, 1.0)], n)
-        for n in range(k, N + 1, 2):
-            s = add(f"w{n}", [(b, n, 1.0), (c, n, -1.0)], n)
-            if n == k:
-                free["w"] = s
+            add(f"p{n}", n, (b, n, 1.0), (c, n, 1.0))
+        for n in range(end.k, N + 1, 2):
+            add(f"w{n}", n, (b, n, 1.0), (c, n, -1.0))
+        pins = ("q", f"w{end.k}")
     else:
         raise ValueError(f"unknown end kind {end.kind!r}")
 
-    assert set(free) == set(end.free), (end, free)
-    st = _Structure(base, slots, free, N, N + 4,
-                    [s for s, slot in enumerate(slots) if slot.order <= order])
+    st = _Structure(base.ravel(), np.array(rows), names,
+                    {p: names.index(s) for p, s in zip(end.free, pins)}, N, N + 4,
+                    [s for s, n in enumerate(lowest) if n <= order])
     # the first Taylor order of P each slot affects, at a generic point
-    n = len(slots)
-    g = np.random.default_rng(12345).uniform(0.3, 1.1, size=n)
-    base_r = _poly_residual(_apply(st, g), _LAM_GENERIC, st.L)
-    scale = max(np.max(np.abs(base_r)), 1.0)
-    probes = np.tile(g, (n, 1))
-    probes[np.arange(n), np.arange(n)] += 1.0
-    r = _poly_residual(_apply(st, probes), _LAM_GENERIC, st.L)
-    hit = np.abs(r - base_r).max(axis=1) > 1e-9 * scale  # (slots, L)
+    g = np.random.default_rng(12345).uniform(0.3, 1.1, size=len(names))
+    r = _probe(st, g, range(len(names)), _LAM_GENERIC)
+    scale = max(np.max(np.abs(r[0])), 1.0)
+    hit = np.abs(r[1::2] - r[0]).max(axis=1) > 1e-9 * scale  # (slots, L)
     absent = ~hit.any(axis=1)
     if absent.any():
         raise GermConstructionError(
-            f"slot {slots[absent.argmax()].name} never enters the residual")
+            f"slot {names[absent.argmax()]} never enters the residual")
     st.first = hit.argmax(axis=1)
     st.m_stop = int(max(st.first[s] for s in st.wanted))
     return st
 
 
-def _apply(structure: _Structure, values: np.ndarray) -> np.ndarray:
-    """Coefficient matrix for a slot-value vector (supports leading batch axes)."""
+def _apply(st: _Structure, values) -> np.ndarray:
+    """Coefficient matrix (..., 3, N+1) for slot values (..., slots)."""
     values = np.asarray(values, dtype=float)
-    batch = values.shape[:-1]
-    c = np.broadcast_to(structure.base, batch + (3, structure.N + 1)).copy()
-    for s, slot in enumerate(structure.slots):
-        for i, n, coef in slot.placements:
-            c[..., i, n] += coef * values[..., s]
-    return c
+    return (st.base + values @ st.E).reshape(values.shape[:-1] + (3, st.N + 1))
+
+
+def _probe(st: _Structure, values, slots, lam) -> np.ndarray:
+    """Residual P of shape (1 + 2 len(slots), 3, L) in one batched call:
+    row 0 at the slot values, rows 1 + 2j and 2 + 2j with slot j moved by
+    +1 and -1."""
+    slots = np.asarray(slots, dtype=int)
+    probes = np.tile(values, (1 + 2 * len(slots), 1))
+    j = np.arange(len(slots))
+    probes[1 + 2 * j, slots] += 1.0
+    probes[2 + 2 * j, slots] -= 1.0
+    return _poly_residual(_apply(st, probes), lam, st.L)
 
 
 # --------------------------------------------------------------------------
@@ -362,18 +343,13 @@ def _poly_residual(c, lam, L):
 
 def _staircase(st, values, determined, lam):
     """Solve dependent slots order by order in place, through order m_stop."""
-    nslots = len(st.slots)
     for m in range(st.m_stop + 1):
-        S_m = [s for s in range(nslots) if not determined[s] and st.first[s] == m]
-        # one batched residual call: current values plus +/- unit probes
-        probes = np.tile(values, (1 + 2 * len(S_m), 1))
-        for j, s in enumerate(S_m):
-            probes[1 + 2 * j, s] += 1.0
-            probes[2 + 2 * j, s] -= 1.0
-        r = _poly_residual(_apply(st, probes), lam, st.L)
-        scale = max(np.max(np.abs(r[0])), 1.0)
+        S_m = np.flatnonzero(~determined & (st.first == m))
+        r = _probe(st, values, S_m, lam)
+        # the orders above m hold the unsolved tail, so they set no scale
+        scale = max(np.max(np.abs(r[0, :, :m + 1])), 1.0)
         rm = r[0, :, m]
-        if not S_m:
+        if not S_m.size:
             if np.max(np.abs(rm)) > _STAIRCASE_RTOL * scale:
                 raise GermConstructionError(
                     f"inconsistent equations at order {m} with no unknowns left to fix"
@@ -388,16 +364,15 @@ def _staircase(st, values, determined, lam):
                 f"equations at order {m} are not linear in the order-{m} coefficients"
             )
         x, _, rank, _ = np.linalg.lstsq(A, -rm, rcond=1e-10)
-        if rank < len(S_m):
+        if rank < S_m.size:
             raise GermConstructionError(
-                f"singular linear solve at order {m} (rank {rank} < {len(S_m)}): "
+                f"singular linear solve at order {m} (rank {rank} < {S_m.size}): "
                 "resonance or misdeclared free parameter"
             )
         if np.max(np.abs(A @ x + rm)) > max(_STAIRCASE_RTOL * scale, 1e-6 * np.max(np.abs(rm))):
             raise GermConstructionError(f"inconsistent linear system at order {m}")
         values[S_m] += x
-        for s in S_m:
-            determined[s] = True
+        determined[S_m] = True
 
 
 # --------------------------------------------------------------------------
@@ -449,18 +424,23 @@ def series_solve(end: EndCondition, free, lam, order=8) -> SeriesGerm:
         free = dict(zip(end.free, free))
     if set(free) != set(end.free):
         raise ValueError(f"free parameters {set(end.free)} required, got {set(free)}")
+    if not np.isfinite(lam):
+        raise ValueError(f"Einstein constant must be finite, got lam = {lam}")
+    for name, v in free.items():
+        if not np.isfinite(v):
+            raise ValueError(f"germ parameter {name} must be finite, got {v}")
     for name in ("h", "q"):
         if name in free and free[name] <= 0.0:
             raise ValueError(f"germ parameter {name} must be positive, got {free[name]}")
 
     st = _structure(end, order)
-    values = np.zeros(len(st.slots))
-    determined = np.zeros(len(st.slots), dtype=bool)
+    values = np.zeros(len(st.names))
+    determined = np.zeros(len(st.names), dtype=bool)
     for name, s in st.free_slots.items():
         values[s] = free[name]
         determined[s] = True
     _staircase(st, values, determined, lam)
-    missing = [st.slots[s].name for s in st.wanted if not determined[s]]
+    missing = [st.names[s] for s in st.wanted if not determined[s]]
     if missing:
         raise GermConstructionError(f"coefficients left undetermined: {missing}")
     coeffs = _apply(st, values)[:, : order + 1]
@@ -513,54 +493,6 @@ def germ_start_offset(germ: SeriesGerm):
         f"no hand-off offset down to {eps_grid[-1]:.3g} meets the defect target "
         f"{_DEFECT_TARGET:.3g}; the least defect is {best_defect:.3g}"
     )
-
-
-def discover_free_parameters(end: EndCondition):
-    """Constructively find which germ coefficients the staircase cannot fix.
-
-    Runs the order-by-order solve with no declared free parameters; whenever
-    the linear system at some order is rank deficient, the excess directions
-    are pinned (largest null-vector component, lowest order first) and
-    reported as free.  Works on an order-8 germ at a generic lambda.
-    Returns slot names in discovery order.
-    """
-    st = _structure(end, 8)
-    rng = np.random.default_rng(777)
-    values = rng.uniform(0.4, 1.2, size=len(st.slots))
-    determined = np.zeros(len(st.slots), dtype=bool)
-    freed = []
-    for m in range(st.m_stop + 1):
-        S_m = [s for s in range(len(st.slots)) if not determined[s] and st.first[s] == m]
-        if not S_m:
-            continue
-        r = _poly_residual(_apply(st, values), _LAM_GENERIC, st.L)
-        rm = r[:, m]
-        plus = np.tile(values, (len(S_m), 1))
-        minus = plus.copy()
-        plus[np.arange(len(S_m)), S_m] += 1.0
-        minus[np.arange(len(S_m)), S_m] -= 1.0
-        rp = _poly_residual(_apply(st, plus), _LAM_GENERIC, st.L)[:, :, m]
-        rn = _poly_residual(_apply(st, minus), _LAM_GENERIC, st.L)[:, :, m]
-        A = 0.5 * (rp - rn).T
-        while True:
-            rank = np.linalg.matrix_rank(A, tol=1e-8 * max(1.0, np.abs(A).max()))
-            if rank >= len(S_m):
-                break
-            # pin the most null direction, preferring low-order slots
-            _, _, vh = np.linalg.svd(A)
-            null = vh[-1]
-            pick = max(range(len(S_m)), key=lambda j: (abs(null[j]), -st.slots[S_m[j]].order))
-            s = S_m.pop(pick)
-            freed.append(st.slots[s].name)
-            determined[s] = True  # keeps its random generic value
-            A = np.delete(A, pick, axis=1)
-            if not S_m:
-                break
-        if S_m:
-            x, *_ = np.linalg.lstsq(A, -rm, rcond=1e-10)
-            values[S_m] += x
-            determined[np.asarray(S_m)] = True
-    return freed
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,8 @@ by the full solver.
 
 import numpy as np
 
+from .germs import get_diagram
+
 __all__ = ["initial_guess", "scan_box"]
 
 _S2 = np.sqrt(2.0)
@@ -38,6 +40,7 @@ _BOX_WIDTH = 0.3
 
 
 def initial_guess(case_id, k=0):
+    get_diagram(case_id, k)  # rejects an unknown id and a k the diagram lacks
     key = (case_id, k) if case_id == "so3_hitchin" else case_id
     try:
         return np.array(_GUESSES[key], dtype=float)

@@ -64,6 +64,8 @@ class ShootingProblem:
     atol: float = 1e-13
 
     def __post_init__(self):
+        if not np.isfinite(self.lam):
+            raise ValueError(f"Einstein constant must be finite, got lam = {self.lam}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("match fraction theta must be in (0, 1)")
         n_unknowns = len(self.diagram.left.free) + len(self.diagram.right.free) + 1

@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from c1einstein import core, germs
 from c1einstein.germs import (DIAGRAM_IDS, GermConstructionError,
-                              diagram_catalog, discover_free_parameters,
-                              germ_decay_check, germ_start_offset, get_diagram,
+                              diagram_catalog, germ_decay_check,
+                              germ_start_offset, get_diagram,
                               indicial_catalog, indicial_eigenvalues,
                               series_solve)
 from c1einstein.oracles import oracle
@@ -251,6 +251,17 @@ def test_series_solve_validates_inputs():
         series_solve(end, {"h": 1.0, "c": 0.0}, 3.0, order=2)
 
 
+def test_series_solve_rejects_non_finite_inputs():
+    end = get_diagram("so3_s4").left
+    with pytest.raises(ValueError, match="h must be finite, got nan"):
+        series_solve(end, {"h": np.nan, "c": 0.5}, 3.0)
+    with pytest.raises(ValueError, match="c must be finite, got -inf"):
+        series_solve(end, {"h": 1.0, "c": -np.inf}, 3.0)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"got lam = {lam}"):
+            series_solve(end, {"h": 1.0, "c": 0.5}, lam)
+
+
 def _pmul_loop(a, b, L):
     """The truncated product as one slice multiply-add per order of a."""
     out = np.zeros(a.shape[:-1] + (L,))
@@ -297,7 +308,7 @@ def test_pmul_keeps_the_signs_of_zero_sums():
 
 
 # ---------------------------------------------------------------------------
-# free-parameter discovery
+# free germ parameters
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("cid,k,side", [
@@ -307,10 +318,53 @@ def test_pmul_keeps_the_signs_of_zero_sums():
     ("so3_hitchin", 3, "right"),
 ])
 def test_every_end_has_exactly_two_free_parameters(cid, k, side):
+    # at generic free values the staircase's rank and consistency checks
+    # pass, so the two declared parameters fix every other coefficient
     end = _end(cid, k, side)
-    freed = discover_free_parameters(end)
-    assert len(freed) == 2
     assert len(end.free) == 2
+    free = np.random.default_rng(777).uniform(0.4, 1.2, 2)
+    g = series_solve(end, list(free), 1.7, order=8)
+    assert np.all(np.isfinite(g.coeffs))
+
+
+def _pinned_staircase(end, pins, lam=1.7, order=8):
+    """Run the staircase with exactly the named slots pinned; return the
+    structure and the solved slot values."""
+    st = germs._structure(end, order)
+    values = np.zeros(len(st.names))
+    determined = np.zeros(len(st.names), dtype=bool)
+    for name, v in pins.items():
+        s = st.names.index(name)
+        values[s], determined[s] = v, True
+    germs._staircase(st, values, determined, lam)
+    return st, values
+
+
+def test_staircase_rejects_a_wrong_free_parameter_count():
+    end = get_diagram("so3_s4").left
+    rng = np.random.default_rng(777)
+    h, c = rng.uniform(0.4, 1.2, 2)
+    st, _ = _pinned_staircase(end, {"c2,0": h, "c2,1": c})
+    assert st.free_slots == {"h": st.names.index("c2,0"), "c": st.names.index("c2,1")}
+    # one declared slot left to the equations: rank deficient
+    for pins in ({"c2,0": h}, {"c2,1": c}):
+        with pytest.raises(GermConstructionError):
+            _pinned_staircase(end, pins)
+    # a slot the equations determine pinned as well: inconsistent
+    with pytest.raises(GermConstructionError):
+        _pinned_staircase(end, {"c2,0": h, "c2,1": c, "c1,3": rng.uniform(0.4, 1.2)})
+
+
+def test_staircase_checks_scale_with_the_orders_reached():
+    # the unsolved high orders of P reach 1e6 and more; a check scaled by
+    # them would accept a pinned coefficient 1e-5 off its solved value
+    end = get_diagram("so3_s4").left
+    h, c = np.random.default_rng(777).uniform(0.4, 1.2, 2)
+    st, solved = _pinned_staircase(end, {"c2,0": h, "c2,1": c})
+    c23 = solved[st.names.index("c2,3")]
+    _pinned_staircase(end, {"c2,0": h, "c2,1": c, "c2,3": c23})
+    with pytest.raises(GermConstructionError, match="order 3 with no unknowns"):
+        _pinned_staircase(end, {"c2,0": h, "c2,1": c, "c2,3": c23 * (1 + 1e-5)})
 
 
 # ---------------------------------------------------------------------------

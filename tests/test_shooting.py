@@ -45,6 +45,22 @@ def test_theta_validated():
         _problem("su2_s4", theta=1.5)
 
 
+def test_lam_must_be_finite():
+    for lam in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"got lam = {lam}"):
+            _problem("su2_s4", lam=lam)
+
+
+def test_presets_reject_a_cone_order_the_diagram_lacks():
+    with pytest.raises(ValueError, match="k = 5"):
+        initial_guess("su2_s4", 5)
+    with pytest.raises(ValueError, match="k = 5"):
+        scan_box("su2_s4", 5, n=2)
+    with pytest.raises(ValueError, match="unknown diagram"):
+        initial_guess("nope")
+    assert initial_guess("so3_hitchin", 3).shape == (5,)
+
+
 def test_admissibility_checks():
     pr = _problem("so3_s4")
     with pytest.raises(AdmissibilityError, match="T"):
