@@ -18,10 +18,10 @@ from .diagnostics import (ConstantsUndefined, characteristic_numbers,
                           kahler_detector, max_principle_check)
 from .germs import DIAGRAM_IDS, get_diagram
 from .presets import initial_guess, scan_box
-from .shooting import (AdmissibilityError, NonConvergence, ShootingProblem,
-                       detect_equal_pairs, scan, solve)
+from .shooting import (NonConvergence, ShootingProblem, detect_equal_pairs,
+                       scan, solve)
 
-__all__ = ["main", "run", "emit", "load_config", "read_solution_csv"]
+__all__ = ["main", "run", "emit", "load_config"]
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -99,10 +99,7 @@ def emit(sr, out_dir, topology=None):
         d["a"], d["b"], d["constraint"],
     ])
     csv_path = os.path.join(out_dir, "solution.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+    np.savetxt(csv_path, rows, fmt=_FMT, delimiter=",", header=CSV_HEADER, comments="")
 
     const_path = os.path.join(out_dir, "constants.txt")
     with open(const_path, "w") as fh:
@@ -123,8 +120,7 @@ def emit(sr, out_dir, topology=None):
         "unknowns": {n: float(v) for n, v in zip(sr.problem.unknown_names, sr.u)},
         "drift": sr.drift,
         "equal_pairs": sorted(list(p) for p in detect_equal_pairs(sr)),
-        "eigen_gaps": {k: (list(map(float, v)) if isinstance(v, tuple) else float(v))
-                       for k, v in _gap_summary(sr).items()},
+        "eigen_gaps": eigen_gap_report(sr),
         "kahler": kahler_detector(sr),
     }
     if sr.diagram.chi_tau is not None:
@@ -145,22 +141,6 @@ def _constants(sr):
         return invariant_constants(sr).as_dict()
     except ConstantsUndefined:
         return {}
-
-
-def _gap_summary(sr):
-    g = eigen_gap_report(sr)
-    return {"a_spread": g["a_spread"], "b_spread": g["b_spread"]}
-
-
-def read_solution_csv(path):
-    """Re-ingest a solution.csv; returns dict of named columns."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"{path}: unexpected CSV header")
-        data = np.array([[float(x) for x in line.split(",")] for line in fh])
-    names = CSV_HEADER.split(",")
-    return {n: data[:, i] for i, n in enumerate(names)}
 
 
 def _problem(args, cfg):
@@ -253,7 +233,7 @@ def _report(args, cfg):
     print(f"T         {sr.T:.12g}")
     for name, val in sorted(_constants(sr).items()):
         print(f"{name:<9s} {val:.12g}")
-    g = _gap_summary(sr)
+    g = eigen_gap_report(sr)
     print(f"a_spread  {g['a_spread']:.3e}")
     print(f"b_spread  {g['b_spread']:.3e}")
     if sr.diagram.chi_tau is not None:
@@ -294,7 +274,7 @@ def run(argv=None):
     except NonConvergence as e:
         print(f"error: non-convergence: {e}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (AdmissibilityError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

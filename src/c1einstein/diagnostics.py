@@ -71,7 +71,6 @@ class ConeSpec:
 class TopologyReport:
     chi: float
     tau: float
-    n_nodes: int
     node_doubling_change: float
 
 
@@ -149,16 +148,10 @@ def kahler_detector(sr: SolutionReport):
 
 def eigen_gap_report(sr: SolutionReport):
     """Sup over samples of the spreads of the two curvature-eigenvalue
-    triples, plus their values at the first and last samples."""
+    triples."""
     d = sr.trajectory.diagnostics()
-    a, b = d["a"], d["b"]
     spread = lambda x: float(np.max(np.max(x, axis=1) - np.min(x, axis=1)))
-    return {
-        "a_spread": spread(a),
-        "b_spread": spread(b),
-        "a_ends": (a[0].copy(), a[-1].copy()),
-        "b_ends": (b[0].copy(), b[-1].copy()),
-    }
+    return {"a_spread": spread(d["a"]), "b_spread": spread(d["b"])}
 
 
 def characteristic_numbers(sr: SolutionReport) -> TopologyReport:
@@ -189,6 +182,12 @@ def characteristic_numbers(sr: SolutionReport) -> TopologyReport:
         vol = V * np.prod(f, axis=-1)
         return np.stack([(wp + wm + s2_term) * vol, (wp - wm) * vol])
 
+    def right(ts):
+        # the right germ runs in reversed time, which swaps the two Weyl
+        # halves, so its slopes are negated to restore the global orientation
+        f, df = gr.eval(ts)
+        return f, -df
+
     x, w = np.polynomial.legendre.leggauss(_NODES)
 
     def run(npan):
@@ -201,16 +200,11 @@ def characteristic_numbers(sr: SolutionReport) -> TopologyReport:
             return np.add.accumulate(panels, axis=1)[:, -1]
 
         total = np.zeros(2)
-        # germ windows at both ends, dense trajectory between; the right
-        # germ runs in reversed time, which swaps the two Weyl halves, so
-        # its slopes are negated to restore the global orientation
-        total += seg(0.0, t_lo, lambda ts: gl.eval(ts))
-        if sr.T - t_hi > 0:
-            def right(ts):
-                f, df = gr.eval(ts)
-                return f, -df
-            total += seg(0.0, sr.T - t_hi, right)
-        total += seg(t_lo, t_hi, lambda ts: traj.eval(ts))
+        # germ windows at both ends, each as wide as its germ's hand-off
+        # offset, and the dense trajectory between
+        total += seg(0.0, t_lo, gl.eval)
+        total += seg(0.0, sr.T - t_hi, right)
+        total += seg(t_lo, t_hi, traj.eval)
         return total
 
     c1 = run(_PANELS)
@@ -219,7 +213,7 @@ def characteristic_numbers(sr: SolutionReport) -> TopologyReport:
     tau = KAPPA_TAU * c2[1]
     change = max(abs(KAPPA_CHI) * abs(c2[0] - c1[0]),
                  abs(KAPPA_TAU) * abs(c2[1] - c1[1]))
-    return TopologyReport(float(chi), float(tau), 2 * _PANELS * _NODES, float(change))
+    return TopologyReport(float(chi), float(tau), float(change))
 
 
 def max_principle_check(sr: SolutionReport, pairs=((1, 2), (2, 3), (3, 1))):

@@ -254,7 +254,7 @@ def _structure(end: EndCondition, order: int) -> _Structure:
                     [s for s, n in enumerate(lowest) if n <= order])
     # the first Taylor order of P each slot affects, at a generic point
     g = np.random.default_rng(12345).uniform(0.3, 1.1, size=len(names))
-    r = _probe(st, g, range(len(names)), _LAM_GENERIC)
+    r = _probe(st, g, range(len(names)), _LAM_GENERIC, st.L)
     scale = max(np.max(np.abs(r[0])), 1.0)
     hit = np.abs(r[1::2] - r[0]).max(axis=1) > 1e-9 * scale  # (slots, L)
     absent = ~hit.any(axis=1)
@@ -272,16 +272,16 @@ def _apply(st: _Structure, values) -> np.ndarray:
     return (st.base + values @ st.E).reshape(values.shape[:-1] + (3, st.N + 1))
 
 
-def _probe(st: _Structure, values, slots, lam) -> np.ndarray:
-    """Residual P of shape (1 + 2 len(slots), 3, L) in one batched call:
-    row 0 at the slot values, rows 1 + 2j and 2 + 2j with slot j moved by
-    +1 and -1."""
+def _probe(st: _Structure, values, slots, lam, L) -> np.ndarray:
+    """Taylor orders 0 .. L-1 of the residual P, shape
+    (1 + 2 len(slots), 3, L), in one batched call: row 0 at the slot
+    values, rows 1 + 2j and 2 + 2j with slot j moved by +1 and -1."""
     slots = np.asarray(slots, dtype=int)
     probes = np.tile(values, (1 + 2 * len(slots), 1))
     j = np.arange(len(slots))
     probes[1 + 2 * j, slots] += 1.0
     probes[2 + 2 * j, slots] -= 1.0
-    return _poly_residual(_apply(st, probes), lam, st.L)
+    return _poly_residual(_apply(st, probes), lam, L)
 
 
 # --------------------------------------------------------------------------
@@ -345,9 +345,10 @@ def _staircase(st, values, determined, lam):
     """Solve dependent slots order by order in place, through order m_stop."""
     for m in range(st.m_stop + 1):
         S_m = np.flatnonzero(~determined & (st.first == m))
-        r = _probe(st, values, S_m, lam)
-        # the orders above m hold the unsolved tail, so they set no scale
-        scale = max(np.max(np.abs(r[0, :, :m + 1])), 1.0)
+        # orders <= m only: an order of P depends on no higher one, and
+        # _pmul's sums keep their bits when its trailing orders are cut
+        r = _probe(st, values, S_m, lam, m + 1)
+        scale = max(np.max(np.abs(r[0])), 1.0)
         rm = r[0, :, m]
         if not S_m.size:
             if np.max(np.abs(rm)) > _STAIRCASE_RTOL * scale:
@@ -358,11 +359,13 @@ def _staircase(st, values, determined, lam):
         rp = r[1::2, :, m]
         rn = r[2::2, :, m]
         A = 0.5 * (rp - rn).T  # (3, |S_m|)
-        curv = np.max(np.abs(rp + rn - 2.0 * rm))
-        if curv > 1e-7 * scale:
+        curv = np.max(np.abs(rp + rn - 2.0 * rm), axis=1)  # per slot
+        bent = S_m[curv > 1e-7 * scale]
+        if bent.size:
             raise GermConstructionError(
-                f"equations at order {m} are not linear in the order-{m} coefficients"
-            )
+                f"equations at order {m} are not linear in the order-{m} "
+                f"coefficients (nonlinear in {', '.join(st.names[s] for s in bent)}): "
+                "a free parameter may be left to the equations")
         x, _, rank, _ = np.linalg.lstsq(A, -rm, rcond=1e-10)
         if rank < S_m.size:
             raise GermConstructionError(

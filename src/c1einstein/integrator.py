@@ -19,7 +19,6 @@ from . import core
 __all__ = ["Trajectory", "HandoffError", "integrate_frame", "integrate_germ", "drift_report"]
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = np.array([
     [0, 0, 0, 0, 0, 0],
     [1 / 5, 0, 0, 0, 0, 0],
@@ -83,16 +82,11 @@ class Trajectory:
         y = h00 * y0 + h10 * m0 + h01 * y1 + h11 * m1
         return y[:, :3], y[:, 3:]
 
-    def diagnostics(self, ts=None):
-        """Per-sample geometric quantities; defaults to the accepted steps."""
-        if ts is None:
-            ts = self.t
-            f, df = self.f, self.df
-        else:
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            f, df = self.eval(ts)
+    def diagnostics(self):
+        """Geometric quantities at the accepted steps."""
+        f, df = self.f, self.df
         L, R, A, B, a, b = core.frame_curvature(f, df)
-        return {"t": np.asarray(ts, dtype=float), "f": f, "df": df,
+        return {"t": self.t, "f": f, "df": df,
                 "L": L, "R": R, "A": A, "B": B, "a": a, "b": b,
                 "constraint": core.constraint_residual(L, R, self.lam)}
 

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = ["OracleProfile", "oracle", "ORACLE_IDS"]
 
 SQRT2 = np.sqrt(2.0)
-SQRT3 = np.sqrt(3.0)
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,7 @@ def _assemble(pr: ShootingProblem, T, shot: Shot):
     trl, trr = shot.legs
     # right leg: global t = T - s, orientation flips df and so f' in the
     # slopes; f'' is even in df, so the stored slopes stay exact
-    keep = trr.t < (1.0 - pr.theta) * T - 1e-12
+    keep = trr.t < shot.reach[1] - 1e-12
     t = np.concatenate([trl.t, (T - trr.t[keep])[::-1]])
     y = np.concatenate([trl.y, trr.y[keep][::-1] * _MIRROR])
     dy = np.concatenate([trl.dy, trr.dy[keep][::-1] * -_MIRROR])

@@ -346,13 +346,34 @@ def test_staircase_rejects_a_wrong_free_parameter_count():
     h, c = rng.uniform(0.4, 1.2, 2)
     st, _ = _pinned_staircase(end, {"c2,0": h, "c2,1": c})
     assert st.free_slots == {"h": st.names.index("c2,0"), "c": st.names.index("c2,1")}
-    # one declared slot left to the equations: rank deficient
-    for pins in ({"c2,0": h}, {"c2,1": c}):
-        with pytest.raises(GermConstructionError):
+    # one declared slot left to the equations: the error names it
+    for pins, left in (({"c2,0": h}, "c2,1"), ({"c2,1": c}, "c2,0")):
+        with pytest.raises(GermConstructionError, match=f"nonlinear in {left}\\)"):
             _pinned_staircase(end, pins)
     # a slot the equations determine pinned as well: inconsistent
     with pytest.raises(GermConstructionError):
         _pinned_staircase(end, {"c2,0": h, "c2,1": c, "c1,3": rng.uniform(0.4, 1.2)})
+
+
+@pytest.mark.parametrize("cid,k,side", [
+    ("so3_s4", 0, "left"), ("su2_cp2bar", 0, "left"), ("so3_cp2", 0, "left"),
+    ("su2_s4", 0, "right"), ("so3_hitchin", 3, "right"),
+])
+def test_staircase_probes_only_the_orders_it_has_reached(cid, k, side, monkeypatch):
+    # at order m the staircase reads P through order m, so it evaluates
+    # no higher order
+    end = _end(cid, k, side)
+    st = germs._structure(end, 8)
+    seen = []
+    real = germs._poly_residual
+
+    def recorded(c, lam, L):
+        seen.append(L)
+        return real(c, lam, L)
+
+    monkeypatch.setattr(germs, "_poly_residual", recorded)
+    series_solve(end, [0.9, 0.7], 1.7, order=8)
+    assert seen == list(range(1, st.m_stop + 2))
 
 
 def test_staircase_checks_scale_with_the_orders_reached():

@@ -184,8 +184,9 @@ def test_eval_reproduces_nodes_exactly():
 
 def test_diagnostics_contents():
     _, traj = _round_traj()
-    d = traj.diagnostics(np.linspace(0.5, 1.5, 7))
-    assert d["f"].shape == (7, 3)
+    d = traj.diagnostics()
+    assert d["t"] is traj.t
+    assert d["f"].shape == (len(traj.t), 3)
     # round metric: all a, b eigenvalues equal lambda/3
     assert np.allclose(d["a"], 1.0, atol=1e-8)
     assert np.allclose(d["b"], 1.0, atol=1e-8)

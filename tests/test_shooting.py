@@ -96,8 +96,10 @@ def test_failed_shots_say_why():
 def test_solve_names_the_failure_it_stalls_on():
     # an order-5 Page germ misses the 1e-12 defect target beyond the slack
     pr = ShootingProblem(get_diagram("su2_cp2bar"), germ_order=5)
-    with pytest.raises(NonConvergence, match=r"1\.000e\+03 \(shot failure: germ\)"):
+    with pytest.raises(NonConvergence, match=r"1\.000e\+03 \(shot failure: germ\)") as exc:
         solve(pr, initial_guess("su2_cp2bar"))
+    # the line-search exit reports the iterate it stalled at
+    assert exc.value.best_norm == np.max(np.abs(match_residual(pr, exc.value.best_u)))
 
 
 def test_malformed_unknown_vector_raises():
@@ -365,8 +367,9 @@ def test_nonconvergence_reports_best_iterate():
     pr = _problem("su2_s4")
     with pytest.raises(NonConvergence) as exc:
         solve(pr, [-0.9, 0.8, -0.9, 0.8, 9.0], max_iter=3)
-    assert exc.value.best_u is not None
+    # the max-iteration exit: the norm is that of the iterate it reports
     assert exc.value.best_norm > 0
+    assert exc.value.best_norm == np.max(np.abs(match_residual(pr, exc.value.best_u)))
 
 
 def test_reflection_symmetric_cases_close_at_the_midpoint(solutions):
