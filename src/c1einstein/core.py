@@ -98,9 +98,8 @@ def frame_rhs(f, df, lam):
     times cheaper than the array form and gives the same bits.  Where f_j f_k
     underflows to zero Python would raise ZeroDivisionError, so that case is
     redone on np.float64 scalars to give numpy's inf/nan."""
-    f = np.asarray(f, dtype=float).tolist()
-    f1, f2, f3 = f
-    d1, d2, d3 = np.asarray(df, dtype=float).tolist()
+    f1, f2, f3 = f = [*map(float, f)]
+    d1, d2, d3 = map(float, df)
     if f1 <= 0.0 or f2 <= 0.0 or f3 <= 0.0:
         i = next(i for i, x in enumerate(f) if x <= 0.0)
         raise NonPositiveProfile(f"f_{i + 1} = {f[i]} must be positive")

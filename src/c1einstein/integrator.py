@@ -11,6 +11,7 @@ kept as the last sample, and the crossing time is not refined further.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -38,9 +39,9 @@ _COLLAPSE_FLOOR = 1e-8
 _MAX_STEPS = 100000
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Accepted-step record of one integration run."""
+    """Accepted-step record of one integration run; read-only, so shots share legs."""
 
     t: np.ndarray   # (n,) sample times, increasing
     y: np.ndarray   # (n, 6) states
@@ -49,6 +50,13 @@ class Trajectory:
     reason: str     # reached_target | collapse_event | blowup_event | step_failure
     n_accepted: int
     n_rejected: int
+    # loop state (samples kept, h, err_prev, n_rejected) at the first step
+    # that read the target, from which integrate_frame continues the leg
+    resume: Optional[tuple] = None
+
+    def __post_init__(self):
+        for a in (self.t, self.y, self.dy):
+            a.flags.writeable = False
 
     @property
     def t_end(self):
@@ -92,34 +100,47 @@ class Trajectory:
 
 
 def rhs_vector(y, lam):
-    """First-order right-hand side for the packed state (f, f')."""
-    f, df = y[:3], y[3:]
-    return np.concatenate([df, core.frame_rhs(f, df, lam)])
+    """First-order right-hand side for the packed state (f, f'), as a list."""
+    return [*y[3:], *core.frame_rhs(y[:3], y[3:], lam).tolist()]
 
 
 def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
-                    blowup_ceiling=1e6) -> Trajectory:
-    """Integrate the frame system forward from (f0, df0) at t0 to t_target."""
+                    blowup_ceiling=1e6, leg=None) -> Trajectory:
+    """Integrate the frame system forward from (f0, df0) at t0 to t_target,
+    or continue ``leg``, a run of the same start and options to an earlier
+    target, from ``leg.resume``: no sample before it depends on the target, so
+    the result is a fresh run's, bit for bit.  The state is Python floats, but
+    each tableau sum stays one BLAS call on the (7, 6) stages: OpenBLAS's gemv
+    kernel rounds otherwise than a Python sum."""
     if t_target <= t0:
         raise ValueError("t_target must exceed t0")
-    y = np.concatenate([np.asarray(f0, dtype=float), np.asarray(df0, dtype=float)])
-    t = t0
-    k7 = rhs_vector(y, lam)  # FSAL slot
-    ts, ys, dys = [t], [y.copy()], [k7.copy()]
-    # initial step from the slope scale
-    h = min(1e-3 * (1 + np.max(np.abs(y))) / (1 + np.max(np.abs(k7))), t_target - t0)
-    err_prev = 1.0
-    n_acc = n_rej = 0
+    if leg is None:
+        y = [*map(float, f0), *map(float, df0)]
+        ts, ys, dys = [t0], [y], [rhs_vector(y, lam)]
+        # initial step from the slope scale
+        h = 1e-3 * (1 + np.max(np.abs(y))) / (1 + np.max(np.abs(dys[0])))
+        err_prev, n_rej = 1.0, 0
+    elif leg.resume is None:
+        return leg  # it never read its target
+    else:
+        n, h, err_prev, n_rej = leg.resume
+        ts, ys, dys = leg.t[:n].tolist(), leg.y[:n].tolist(), leg.dy[:n].tolist()
+    t, y, k7 = ts[-1], ys[-1], dys[-1]  # k7: FSAL slot
+    n_acc = len(ts) - 1
+    resume = None
     reason = "step_failure"
     K = np.empty((7, 6))
     while n_acc + n_rej < _MAX_STEPS:
+        if resume is None and t_target - t < h:
+            resume = (len(ts), h, err_prev, n_rej)
         h = min(h, t_target - t)
         K[0] = k7
         try:
             for i in range(1, 6):
-                K[i] = rhs_vector(y + h * (_A[i, :i] @ K[:i]), lam)
-            y5 = y + h * (_B5[:6] @ K[:6])
-            K[6] = rhs_vector(y5, lam)
+                s = np.dot(_A[i, :i], K[:i]).tolist()
+                K[i] = rhs_vector([a + h * b for a, b in zip(y, s)], lam)
+            y5 = [a + h * b for a, b in zip(y, np.dot(_B5[:6], K[:6]).tolist())]
+            K[6] = k5 = rhs_vector(y5, lam)
         except core.NonPositiveProfile:
             # stepped over a collapse; retry shorter
             n_rej += 1
@@ -127,23 +148,26 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             if h < 1e-14 * max(1.0, abs(t)):
                 break
             continue
-        err_vec = h * (_ERR @ K)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(np.add.reduce((err_vec / sc) ** 2) / 6)
+        # numpy's norm in its order; y5[i] is NaN where y[i] is, as np.maximum needs
+        err = 0.0
+        for e, a, b in zip(np.dot(_ERR, K).tolist(), map(abs, y), map(abs, y5)):
+            q = h * e / (atol + rtol * (a if a > b else b))
+            err += q * q
+        err = np.sqrt(err / 6)
         if err <= 1.0:
-            t, y, k7 = t + h, y5, K[6]
+            t, y, k7 = t + h, y5, k5
             ts.append(t)
-            ys.append(y)  # y5 is a fresh array each step
-            dys.append(k7.copy())
+            ys.append(y)
+            dys.append(k7)
             n_acc += 1
-            f5 = y5[:3].tolist()
-            if min(f5) <= _COLLAPSE_FLOOR:
+            if min(y[:3]) <= _COLLAPSE_FLOOR:
                 reason = "collapse_event"
                 break
-            if max(map(abs, f5)) >= blowup_ceiling:
+            if max(map(abs, y[:3])) >= blowup_ceiling:
                 reason = "blowup_event"
                 break
             if t >= t_target - 1e-14 * max(1.0, abs(t_target)):
+                resume = resume or (n_acc, h, err_prev, n_rej)
                 reason = "reached_target"
                 break
             # PI controller
@@ -156,18 +180,22 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             if h < 1e-14 * max(1.0, abs(t)):
                 break
     return Trajectory(np.array(ts), np.array(ys), np.array(dys), lam,
-                      reason, n_acc, n_rej)
+                      reason, n_acc, n_rej, resume)
 
 
 class HandoffError(ValueError):
     """The germ hand-off offset is not below the leg's target time."""
 
 
-def integrate_germ(germ, t_target, **kw) -> Trajectory:
+def integrate_germ(germ, t_target, leg=None, **kw) -> Trajectory:
     """Integrate away from a singular orbit, handing off from the Taylor germ
-    at the offset ``germs.germ_start_offset`` picks."""
+    at the offset ``germs.germ_start_offset`` picks, or continue ``leg``, a
+    leg of the same germ and options, as ``integrate_frame`` does."""
     from .germs import germ_start_offset
 
+    if leg is not None:
+        return integrate_frame(leg.f[0], leg.df[0], leg.t[0], t_target, germ.lam,
+                               leg=leg, **kw)
     eps = germ_start_offset(germ)
     if eps >= t_target:
         raise HandoffError(f"germ hand-off offset {eps:.6g} is not below "

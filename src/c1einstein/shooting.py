@@ -164,8 +164,9 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
     A side, the germ and leg of one end, depends only on that end's free
     values and match distance.  With ``base``, a shot of the same problem,
     a side whose free values equal base's takes base's germ, and base's leg
-    too when its match distance is also equal; the shot is the same, bit
-    for bit, as one built without ``base``.
+    too when its match distance is equal, or continued when it grew.  A mirror
+    shot (equal ends, free values and match distances) builds one side for
+    both.  The shot is the same, bit for bit, as one built side by side.
     """
     try:
         pr.check_admissible(u)
@@ -175,21 +176,32 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
     reach = (pr.theta * T, (1.0 - pr.theta) * T)
     ends = (pr.diagram.left, pr.diagram.right)
     frees = (left, right)
+    u = np.asarray(u, dtype=float)
+    nl = len(left)
+    # tobytes, not ==: a germ built from -0.0 may differ from one built from 0.0
+    mirror = (ends[0] == ends[1] and reach[0] == reach[1]
+              and u[:nl].tobytes() == u[nl:-1].tobytes())
+    sides = range(1 if mirror else 2)
     same = [base is not None and bool(base.germs)
-            and base.germs[i].free_values == frees[i] for i in range(2)]
+            and base.germs[i].free_values == frees[i] for i in sides]
     kw = dict(rtol=pr.rtol, atol=pr.atol)
     if pr.lam > 0.0:
         kw["blowup_ceiling"] = _BLOWUP * math.sqrt(3.0 / pr.lam)
     try:
-        germs = tuple(base.germs[i] if same[i] else
-                      series_solve(ends[i], frees[i], pr.lam, order=pr.germ_order)
-                      for i in range(2))
-        legs = tuple(base.legs[i] if same[i] and base.reach[i] == reach[i] else
-                     integrate_germ(germs[i], reach[i], **kw) for i in range(2))
+        germs = [base.germs[i] if same[i] else
+                 series_solve(ends[i], frees[i], pr.lam, order=pr.germ_order)
+                 for i in sides]
+        legs = [base.legs[i] if same[i] and base.reach[i] == reach[i] else
+                integrate_germ(germs[i], reach[i], **kw,
+                               leg=base.legs[i] if same[i] and base.reach[i] < reach[i] else None)
+                for i in sides]
     except GermConstructionError:
         return Shot((), (), np.full(6, _PENALTY), failure="germ")
     except HandoffError:
         return Shot((), (), np.full(6, _PENALTY), failure="handoff")
+    if mirror:
+        germs, legs = germs * 2, legs * 2
+    germs, legs = tuple(germs), tuple(legs)
     short = 0.0
     failure = None
     for traj, t_need in zip(legs, reach):

@@ -116,6 +116,95 @@ def test_a_stopped_leg_spends_six_rhs_calls_per_step(monkeypatch):
     assert len(calls) == 1 + 6 * (traj.n_accepted + traj.n_rejected)
 
 
+def test_a_retried_step_starts_from_the_last_accepted_slope(monkeypatch):
+    # FSAL: every attempt from sample n, retries included, takes dy[n] as
+    # its first stage, so its first RHS call is at y[n] + (h / 5) dy[n].
+    # At rtol 1e-6 this blown-up scan leg rejects about 150 steps after
+    # accepted ones; a first stage left over from the rejected trial fails this
+    from c1einstein.presets import scan_box
+    from c1einstein.shooting import ShootingProblem
+
+    pr = ShootingProblem(get_diagram("su2_s4"))
+    left, _, _ = pr.split(scan_box("su2_s4", width=0.25, n=3)[242])
+    f0, df0 = series_solve(pr.diagram.left, left, 3.0, order=8).eval(0.01)
+    real = core.frame_rhs
+    xs = []
+
+    def recording(f, df, lam):
+        xs.append(np.concatenate([f, df]))
+        return real(f, df, lam)
+
+    monkeypatch.setattr(core, "frame_rhs", recording)
+    traj = integrate_frame(f0, df0, 0.01, 5.0, 3.0, rtol=1e-6, atol=1e-8)
+    assert len(xs) == 1 + 6 * (traj.n_accepted + traj.n_rejected)
+    n, retried = 0, 0
+    for j in range(1, len(xs), 6):
+        d, k = xs[j] - traj.y[n], traj.dy[n]
+        assert np.linalg.norm(d - (d @ k) / (k @ k) * k) <= 1e-12 * np.linalg.norm(d)
+        if n + 1 < len(traj.t) and np.array_equal(xs[j + 5], traj.y[n + 1]):
+            n += 1
+        else:
+            retried += n > 0
+    assert n == traj.n_accepted and retried > 90
+
+
+def _array_dopri5(y, t, t_target, lam, rtol, atol, ceiling):
+    # the step loop on numpy arrays, as integrate_frame took it before its
+    # bookkeeping moved to Python floats (with the FSAL slot copied)
+    from c1einstein.integrator import _A, _B5, _ERR
+
+    def rhs(y):
+        return np.concatenate([y[3:], core.frame_rhs(y[:3], y[3:], lam)])
+
+    k7 = rhs(y)
+    ts, ys = [t], [y]
+    h = min(1e-3 * (1 + np.max(np.abs(y))) / (1 + np.max(np.abs(k7))), t_target - t)
+    err_prev, K = 1.0, np.empty((7, 6))
+    while True:
+        h = min(h, t_target - t)
+        K[0] = k7
+        try:
+            for i in range(1, 6):
+                K[i] = rhs(y + h * (_A[i, :i] @ K[:i]))
+            y5 = y + h * (_B5[:6] @ K[:6])
+            K[6] = rhs(y5)
+        except core.NonPositiveProfile:
+            h *= 0.25
+            continue
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = np.sqrt(np.add.reduce((h * (_ERR @ K) / sc) ** 2) / 6)
+        if err > 1.0:
+            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+            continue
+        t, y, k7 = t + h, y5, K[6].copy()
+        ts.append(t)
+        ys.append(y)
+        if (min(y[:3]) <= 1e-8 or np.max(np.abs(y[:3])) >= ceiling
+                or t >= t_target - 1e-14 * max(1.0, abs(t_target))):
+            return np.array(ts), np.array(ys)
+        fac = 0.9 * err ** -0.14 * err_prev ** 0.08
+        err_prev = max(err, 1e-10)
+        h *= min(5.0, max(0.2, fac))
+
+
+@pytest.mark.parametrize("case_id", ["su2_s4", "so3_s4", "su2_cp2bar", "so3_s2xs2"])
+def test_float_bookkeeping_keeps_the_array_forms_bits(case_id):
+    # the left leg of each shipped guess and of one scan-box point, which
+    # blows up on su2_s4 and su2_cp2bar; the last two retry a rejected step
+    from c1einstein.presets import initial_guess, scan_box
+    from c1einstein.shooting import ShootingProblem
+
+    pr = ShootingProblem(get_diagram(case_id))
+    for u in (initial_guess(case_id), scan_box(case_id, width=0.25, n=3)[242]):
+        left, _, T = pr.split(u)
+        germ = series_solve(pr.diagram.left, left, pr.lam, order=pr.germ_order)
+        leg = integrate_germ(germ, pr.theta * T, rtol=pr.rtol, atol=pr.atol,
+                             blowup_ceiling=10.0)
+        t, y = _array_dopri5(leg.y[0], leg.t[0], pr.theta * T, pr.lam,
+                             pr.rtol, pr.atol, 10.0)
+        assert np.array_equal(leg.t, t) and np.array_equal(leg.y, y)
+
+
 def test_only_a_nonpositive_profile_shortens_the_step(monkeypatch):
     # a ValueError other than core.NonPositiveProfile is a fault, not a
     # step over a collapse, and must not be retried into a step_failure leg

@@ -2,14 +2,16 @@
 recovery from perturbed guesses, admissibility, and solution reports.
 """
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
-from c1einstein import germs, shooting
+from c1einstein import core, germs, shooting
 from c1einstein.diagnostics import characteristic_numbers
 from c1einstein.germs import get_diagram
+from c1einstein.integrator import integrate_germ
 from c1einstein.presets import initial_guess, scan_box
 from c1einstein.shooting import (AdmissibilityError, NonConvergence,
                                  ShootingProblem, detect_equal_pairs,
@@ -213,6 +215,8 @@ def test_germs_are_built_once_per_shot(monkeypatch):
 
 
 INSTANCES = [(c, 0) for c in CASES] + [("so3_hitchin", k) for k in (1, 2, 3)]
+# diagrams whose shipped guesses and T columns are mirror shots
+MIRRORS = ("su2_s4", "su2_cp2bar")
 
 
 def test_blown_shot_stops_at_the_profile_scale():
@@ -283,8 +287,9 @@ def test_jacobian_reusing_the_base_shot_is_exact(monkeypatch, case_id, k):
     solve(pr, initial_guess(case_id, k))
     assert len(calls) == 5
     # every leg of the solve, Jacobian columns included, stays below half
-    # the blow-up ceiling
-    assert len(peaks) == 8
+    # the blow-up ceiling; a mirror diagram's base shot and T column build
+    # one leg each, the others two
+    assert len(peaks) == (6 if case_id in MIRRORS else 8)
     for reason, peak in peaks:
         assert reason == "reached_target" and peak <= shooting._BLOWUP / 2, peak
     _assert_jacobians_exact(pr, calls)
@@ -341,6 +346,108 @@ def test_reused_leg_keeps_its_stop_reason():
         up[i] += 1e-7 * (1.0 + abs(u[i]))
         assert np.array_equal(shooting.shoot(pr, up, base=base).residual,
                               shooting.shoot(pr, up).residual)
+
+
+def _assert_same_leg(a, b):
+    for x, y in ((a.t, b.t), (a.y, b.y), (a.dy, b.dy)):
+        assert np.array_equal(x, y)
+    assert (a.reason, a.n_accepted, a.n_rejected, a.resume) == \
+        (b.reason, b.n_accepted, b.n_rejected, b.resume)
+
+
+def _t_column(u):
+    up = u.copy()
+    up[-1] += shooting._FD_STEP * (1.0 + abs(u[-1]))
+    return up
+
+
+@pytest.mark.parametrize("case_id,k", INSTANCES)
+def test_t_column_resumes_the_base_legs(monkeypatch, case_id, k):
+    # the T column continues each base leg to its longer match distance:
+    # the legs of a fresh shot, bit for bit, for at most two attempted
+    # steps (six RHS calls each) per leg built
+    pr = _problem(case_id, k)
+    u = initial_guess(case_id, k)
+    base = shooting.shoot(pr, u)
+    real = core.frame_rhs
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(core, "frame_rhs", counted)
+    col = shooting.shoot(pr, _t_column(u), base=base)
+    monkeypatch.undo()
+    assert col.germs == base.germs and col.failure is None
+    n_legs = 1 if case_id in MIRRORS else 2
+    assert 0 < len(calls) <= 2 * 6 * n_legs
+    fresh = shooting.shoot(pr, _t_column(u))
+    assert np.array_equal(col.residual, fresh.residual)
+    for leg, ref in zip(col.legs, fresh.legs):
+        _assert_same_leg(leg, ref)
+
+
+def test_a_leg_that_never_read_its_target_is_its_own_continuation():
+    pr = _problem("su2_s4")
+    u = scan_box("su2_s4", width=0.25, n=3)[242]
+    base = shooting.shoot(pr, u)
+    assert [leg.reason for leg in base.legs] == ["blowup_event"] * 2
+    assert base.legs[0].resume is None
+    col = shooting.shoot(pr, _t_column(u), base=base)
+    fresh = shooting.shoot(pr, _t_column(u))
+    assert col.legs[0] is base.legs[0] and col.legs[1] is base.legs[1]
+    assert np.array_equal(col.residual, fresh.residual)
+    for leg, ref in zip(col.legs, fresh.legs):
+        _assert_same_leg(leg, ref)
+
+
+def test_a_leg_clipped_at_its_first_step_continues_as_a_fresh_one():
+    end = get_diagram("so3_s4").left
+    germ = germs.series_solve(end, {"h": 2 * np.sqrt(3.0), "c": -2.0}, 3.0, order=8)
+    short = integrate_germ(germ, germs.germ_start_offset(germ) + 1e-9)
+    assert short.reason == "reached_target" and short.n_accepted == 1
+    assert short.resume[0] == 1  # the first step read the target
+    _assert_same_leg(integrate_germ(germ, 0.5, leg=short), integrate_germ(germ, 0.5))
+
+
+@pytest.mark.parametrize("case_id", MIRRORS)
+def test_a_mirror_shot_builds_one_side(monkeypatch, case_id):
+    real_leg = shooting.integrate_germ
+    legs = []
+
+    def counted_leg(*args, **kw):
+        legs.append(real_leg(*args, **kw))
+        return legs[-1]
+
+    monkeypatch.setattr(shooting, "integrate_germ", counted_leg)
+    pr = _problem(case_id)
+    u = initial_guess(case_id)
+    shot = shooting.shoot(pr, u)
+    assert len(legs) == 1
+    assert shot.germs[0] is shot.germs[1] and shot.legs[0] is shot.legs[1]
+    # the right side built on its own gives the same germ and leg
+    _, right, _ = pr.split(u)
+    germ = germs.series_solve(pr.diagram.right, right, pr.lam, order=pr.germ_order)
+    assert np.array_equal(germ.coeffs, shot.germs[1].coeffs)
+    leg = integrate_germ(germ, shot.reach[1], rtol=pr.rtol, atol=pr.atol,
+                         blowup_ceiling=shooting._BLOWUP)
+    _assert_same_leg(leg, shot.legs[1])
+    # -0.0 == 0.0, but a germ built from one need not have the other's
+    # bits: not a mirror shot
+    v = u.copy()
+    v[1], v[3] = 0.0, -0.0
+    shooting.shoot(pr, v)
+    assert len(legs) == 3
+
+
+def test_a_shots_legs_are_read_only():
+    leg = shooting.shoot(_problem("su2_s4"), initial_guess("su2_s4")).legs[0]
+    for a in (leg.t, leg.y, leg.dy):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        leg.reason = "collapse_event"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
