@@ -19,11 +19,7 @@ print(f"{'diagram':<12} {'T':>10} {'residual':>10} {'constants':<24} "
 for cid in CASES:
     sr = solve(ShootingProblem(get_diagram(cid)), initial_guess(cid))
     rep = characteristic_numbers(sr)
-    try:
-        c = invariant_constants(sr)
-        consts = ", ".join(f"{k}={v:g}" for k, v in c.as_dict().items())
-    except ValueError:
-        consts = "-"
+    consts = ", ".join(f"{k}={v:g}" for k, v in invariant_constants(sr).as_dict().items()) or "-"
     pairs = detect_equal_pairs(sr) or "-"
     print(f"{cid:<12} {sr.T:>10.6f} {sr.residual_norm:>10.2e} {consts:<24} "
           f"{rep.chi:>7.4f} {rep.tau:>7.4f}  {pairs}")

@@ -13,9 +13,9 @@ import sys
 
 import numpy as np
 
-from .diagnostics import (ConstantsUndefined, characteristic_numbers,
-                          eigen_gap_report, invariant_constants,
-                          kahler_detector, max_principle_check)
+from .diagnostics import (characteristic_numbers, eigen_gap_report,
+                          invariant_constants, kahler_detector,
+                          max_principle_check)
 from .germs import DIAGRAM_IDS, get_diagram
 from .presets import initial_guess, scan_box
 from .shooting import (NonConvergence, ShootingProblem, detect_equal_pairs,
@@ -109,7 +109,7 @@ def emit(sr, out_dir, topology=None):
         for name, val in sorted({**{f"left.{k}": v for k, v in sr.left_free.items()},
                                  **{f"right.{k}": v for k, v in sr.right_free.items()}}.items()):
             fh.write(f"{name} = {_fmt(val)}\n")
-        for name, val in sorted(_constants(sr).items()):
+        for name, val in sorted(invariant_constants(sr).as_dict().items()):
             fh.write(f"{name} = {_fmt(val)}\n")
 
     diag = {
@@ -135,12 +135,9 @@ def emit(sr, out_dir, topology=None):
     return [csv_path, const_path, json_path]
 
 
-def _constants(sr):
-    """The endpoint constants, none for a diagram that defines none."""
-    try:
-        return invariant_constants(sr).as_dict()
-    except ConstantsUndefined:
-        return {}
+def _given(cfg, **keys):
+    """Keyword arguments from the config keys that are set; the rest keep the callee's default."""
+    return {arg: cfg[key] for arg, key in keys.items() if key in cfg}
 
 
 def _problem(args, cfg):
@@ -160,8 +157,7 @@ def _solved(args, cfg):
     if cfg.get("perturb", 0.0):
         rng = np.random.default_rng(cfg.get("seed", 0))
         guess = guess * (1.0 + cfg["perturb"] * rng.uniform(-1, 1, len(guess)))
-    return solve(pr, guess, max_iter=cfg.get("max_iter", 40),
-                 tol=cfg.get("solver_tol", 1e-9))
+    return solve(pr, guess, **_given(cfg, max_iter="max_iter", tol="solver_tol"))
 
 
 def _solve(args, cfg):
@@ -176,8 +172,7 @@ def _solve(args, cfg):
 
 def _scan(args, cfg):
     pr = _problem(args, cfg)
-    grid = scan_box(args.diagram, args.k, width=cfg.get("scan_width"),
-                    n=cfg.get("scan_points", 3))
+    grid = scan_box(args.diagram, args.k, **_given(cfg, width="scan_width", n="scan_points"))
     results = scan(pr, grid, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "scan.csv")
@@ -208,7 +203,7 @@ def _verify(args, cfg):
                  f"{dr['max_constraint']:.3e}")
     ok &= _check("trace_drift", max(dr["max_trace_a"], dr["max_trace_b"]) < 1e-7,
                  f"{max(dr['max_trace_a'], dr['max_trace_b']):.3e}")
-    for name, val in sorted(_constants(sr).items()):
+    for name, val in sorted(invariant_constants(sr).as_dict().items()):
         print(f"  {name} = {val:.6f}")
     kd = kahler_detector(sr)
     print(f"  kahler: {str(kd['is_kahler']).lower()}")
@@ -231,7 +226,7 @@ def _report(args, cfg):
     print(f"diagram   {sr.diagram.name}")
     print(f"lambda    {sr.lam:g}")
     print(f"T         {sr.T:.12g}")
-    for name, val in sorted(_constants(sr).items()):
+    for name, val in sorted(invariant_constants(sr).as_dict().items()):
         print(f"{name:<9s} {val:.12g}")
     g = eigen_gap_report(sr)
     print(f"a_spread  {g['a_spread']:.3e}")

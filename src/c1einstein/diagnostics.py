@@ -14,7 +14,6 @@ from .shooting import SolutionReport
 
 __all__ = [
     "InvariantConstants",
-    "ConstantsUndefined",
     "ConeSpec",
     "TopologyReport",
     "invariant_constants",
@@ -65,6 +64,8 @@ class ConeSpec:
             raise ValueError("cone target must be 'A' or 'B'")
         if len(self.signs) != 3 or not any(s != "free" for s in self.signs):
             raise ValueError("cone needs three signs, at least one not free")
+        if not set(self.signs) <= {"+", "-", "0", "free"}:
+            raise ValueError(f"cone signs must be '+', '-', '0' or 'free', got {self.signs}")
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,11 @@ class TopologyReport:
     node_doubling_change: float
 
 
-class ConstantsUndefined(ValueError):
-    """The diagram has no end that fixes an endpoint constant."""
-
-
 def invariant_constants(sr: SolutionReport) -> InvariantConstants:
     """Endpoint constants read off the germ data (never from interior
     samples, which would carry an O(eps) bias).  Each end fixes the constant
-    its catalog entry names; the right end wins where both name the same."""
+    its catalog entry names; the right end wins where both name the same.
+    Every field is None on a diagram whose ends fix none."""
     lam = sr.lam
     d = sr.diagram
     vals = {}
@@ -91,8 +89,6 @@ def invariant_constants(sr: SolutionReport) -> InvariantConstants:
             vals[end.fixes] = 8.0 - x if end.fixes == "delta" else x
         if end.k:  # only an orbifold end has a cone order
             vals["theta_k"] = 4.0 + 8.0 / end.k
-    if not vals:
-        raise ConstantsUndefined(f"no invariant constants defined for diagram {d.name}")
     return InvariantConstants(**vals)
 
 
@@ -120,8 +116,6 @@ def cone_monitor(sr: SolutionReport, cone: ConeSpec, window=None):
             margins[:, i] = -vals[:, i]
         elif s == "0":
             margins[:, i] = -np.abs(vals[:, i])
-        elif s != "free":
-            raise ValueError(f"bad sign {s!r}")
     m = np.min(margins, axis=1)
     worst = int(np.argmin(m))
     zero_tol = 1e-6

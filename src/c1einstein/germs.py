@@ -342,7 +342,8 @@ def _poly_residual(c, lam, L):
 # --------------------------------------------------------------------------
 
 def _staircase(st, values, determined, lam):
-    """Solve dependent slots order by order in place, through order m_stop."""
+    """Solve dependent slots order by order in place, through order m_stop:
+    each wanted slot moves an order <= m_stop, so it ends determined or this raises."""
     for m in range(st.m_stop + 1):
         S_m = np.flatnonzero(~determined & (st.first == m))
         # orders <= m only: an order of P depends on no higher one, and
@@ -443,9 +444,6 @@ def series_solve(end: EndCondition, free, lam, order=8) -> SeriesGerm:
         values[s] = free[name]
         determined[s] = True
     _staircase(st, values, determined, lam)
-    missing = [st.names[s] for s in st.wanted if not determined[s]]
-    if missing:
-        raise GermConstructionError(f"coefficients left undetermined: {missing}")
     coeffs = _apply(st, values)[:, : order + 1]
     return SeriesGerm(end, lam, order, coeffs, dict(free))
 

@@ -142,19 +142,15 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             y5 = [a + h * b for a, b in zip(y, np.dot(_B5[:6], K[:6]).tolist())]
             K[6] = k5 = rhs_vector(y5, lam)
         except core.NonPositiveProfile:
-            # stepped over a collapse; retry shorter
-            n_rej += 1
-            h *= 0.25
-            if h < 1e-14 * max(1.0, abs(t)):
-                break
-            continue
-        # numpy's norm in its order; y5[i] is NaN where y[i] is, as np.maximum needs
-        err = 0.0
-        for e, a, b in zip(np.dot(_ERR, K).tolist(), map(abs, y), map(abs, y5)):
-            q = h * e / (atol + rtol * (a if a > b else b))
-            err += q * q
-        err = np.sqrt(err / 6)
-        if err <= 1.0:
+            err = None  # stepped over a collapse: rejected, retried at h / 4
+        else:
+            # numpy's norm in its order; y5[i] is NaN where y[i] is, as np.maximum needs
+            err = 0.0
+            for e, a, b in zip(np.dot(_ERR, K).tolist(), map(abs, y), map(abs, y5)):
+                q = h * e / (atol + rtol * (a if a > b else b))
+                err += q * q
+            err = np.sqrt(err / 6)
+        if err is not None and err <= 1.0:
             t, y, k7 = t + h, y5, k5
             ts.append(t)
             ys.append(y)
@@ -176,7 +172,7 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             h *= min(5.0, max(0.2, fac))
         else:
             n_rej += 1
-            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+            h *= 0.25 if err is None else min(1.0, max(0.2, 0.9 * err ** -0.2))
             if h < 1e-14 * max(1.0, abs(t)):
                 break
     return Trajectory(np.array(ts), np.array(ys), np.array(dys), lam,

@@ -298,8 +298,6 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
 def scan(pr: ShootingProblem, grid, jobs=1):
     """Residual map over an iterable of unknown vectors; order-preserving."""
     grid = [np.asarray(u, dtype=float) for u in grid]
-    if not grid:
-        return []
 
     def one(u):
         return u, float(np.max(np.abs(match_residual(pr, u))))

@@ -205,6 +205,30 @@ def test_float_bookkeeping_keeps_the_array_forms_bits(case_id):
         assert np.array_equal(leg.t, t) and np.array_equal(leg.y, y)
 
 
+def test_a_stage_past_a_collapse_is_rejected_and_retried(monkeypatch):
+    # a steep inward slope drives f1 through zero inside a trial step; the
+    # stage that sees f1 <= 0 rejects the step, which is retried at h / 4
+    real = core.frame_rhs
+    raised = []
+
+    def counted(*args):
+        try:
+            return real(*args)
+        except core.NonPositiveProfile:
+            raised.append(1)
+            raise
+
+    monkeypatch.setattr(core, "frame_rhs", counted)
+    traj = integrate_frame([1, 1, 1], [-10, 0, 0], 0, 5, 3.0)
+    assert len(raised) == 3
+    assert traj.reason == "collapse_event"
+    assert (traj.n_accepted, traj.n_rejected) == (180, 47)
+    assert traj.t_end == pytest.approx(0.0992768, abs=1e-7)
+    t, y = _array_dopri5(np.array([1.0, 1.0, 1.0, -10.0, 0.0, 0.0]), 0.0, 5.0, 3.0,
+                         1e-10, 1e-12, 1e6)
+    assert np.array_equal(traj.t, t) and np.array_equal(traj.y, y)
+
+
 def test_only_a_nonpositive_profile_shortens_the_step(monkeypatch):
     # a ValueError other than core.NonPositiveProfile is a fault, not a
     # step over a collapse, and must not be retried into a step_failure leg

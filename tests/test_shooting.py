@@ -60,6 +60,8 @@ def test_presets_reject_a_cone_order_the_diagram_lacks():
         scan_box("su2_s4", 5, n=2)
     with pytest.raises(ValueError, match="unknown diagram"):
         initial_guess("nope")
+    with pytest.raises(ValueError, match="no shipped guess"):
+        initial_guess("so3_hitchin", 4)
     assert initial_guess("so3_hitchin", 3).shape == (5,)
 
 
@@ -127,6 +129,13 @@ def test_penalty_on_early_collapse():
     pr = _problem("su2_s4")
     r = match_residual(pr, [-1 / 6, -1 / 6, -1 / 6, -1 / 6, 40.0])
     assert np.all(r > 1e3)
+
+
+def test_a_penalised_shot_is_never_a_solution():
+    # a tolerance above the penalty passes the norm test at iteration 0, but
+    # a shot whose legs fell short has no trajectory to assemble
+    with pytest.raises(NonConvergence, match="leg integration terminated before the match point"):
+        solve(_problem("su2_s4"), [-1 / 6] * 4 + [40.0], tol=1e5)
 
 
 # ---------------------------------------------------------------------------
