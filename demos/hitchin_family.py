@@ -1,6 +1,7 @@
 """Walk the orbifold family k = 1, 2, 3: solve each case, read the exact
-right-end slope 4/k off the germ, and compare the endpoint constant beta
-against the threshold theta_k = 4 + 8/k.
+right-end slope 4/k off the germ, compare the endpoint constant beta
+against the threshold theta_k = 4 + 8/k, and print the measured chi and tau
+next to the catalog's orbifold values 1 + 1/k and -2(k^2 - 1)/(3k^2).
 
 The converged solutions are self-dual: one curvature triple degenerates to
 (lam, 0, 0) and the other to (lam/3, lam/3, lam/3), which forces
@@ -11,7 +12,8 @@ Run from the repository root:  python demos/hitchin_family.py
 
 import numpy as np
 
-from c1einstein.diagnostics import eigen_gap_report, invariant_constants
+from c1einstein.diagnostics import (characteristic_numbers, eigen_gap_report,
+                                    invariant_constants)
 from c1einstein.germs import get_diagram, series_solve
 from c1einstein.presets import initial_guess
 from c1einstein.shooting import ShootingProblem, solve
@@ -25,6 +27,9 @@ for k in (1, 2, 3):
     print(f"k = {k}:  T = {sr.T:.10f}  |residual| = {sr.residual_norm:.2e}")
     print(f"  collapsing slope = {slope:g} (exactly 4/k)")
     print(f"  b-spread = {gaps['b_spread']:.2e} (self-dual when ~0)")
+    tr = characteristic_numbers(sr)
+    chi, tau = sr.diagram.chi_tau
+    print(f"  chi = {tr.chi:.10f} (catalog {chi})  tau = {tr.tau:.10f} (catalog {tau})")
     if k > 1:
         c = invariant_constants(sr)
         print(f"  beta = {c.beta:.10f}  theta_k = {c.theta_k:.10f}  "

@@ -90,8 +90,7 @@ CSV_HEADER = ("t,f1,f2,f3,df1,df2,df3,L1,L2,L3,R1,R2,R3,"
 def emit(sr, out_dir, topology=None):
     """Persist a converged solution: solution.csv, constants.txt,
     diagnostics.json.  ``topology`` is the solution's TopologyReport when
-    the caller already holds it; for a closed diagram it is computed here
-    otherwise."""
+    the caller already holds it; it is computed here otherwise."""
     os.makedirs(out_dir, exist_ok=True)
     d = sr.trajectory.diagnostics()
     rows = np.column_stack([
@@ -112,6 +111,7 @@ def emit(sr, out_dir, topology=None):
         for name, val in sorted(invariant_constants(sr).as_dict().items()):
             fh.write(f"{name} = {_fmt(val)}\n")
 
+    tr = characteristic_numbers(sr) if topology is None else topology
     diag = {
         "diagram": sr.diagram.name,
         "converged": sr.converged,
@@ -122,12 +122,10 @@ def emit(sr, out_dir, topology=None):
         "equal_pairs": sorted(list(p) for p in detect_equal_pairs(sr)),
         "eigen_gaps": eigen_gap_report(sr),
         "kahler": kahler_detector(sr),
+        "chi": tr.chi,
+        "tau": tr.tau,
+        "quadrature_doubling_change": tr.node_doubling_change,
     }
-    if sr.diagram.chi_tau is not None:
-        tr = characteristic_numbers(sr) if topology is None else topology
-        diag["chi"] = tr.chi
-        diag["tau"] = tr.tau
-        diag["quadrature_doubling_change"] = tr.node_doubling_change
     json_path = os.path.join(out_dir, "diagnostics.json")
     with open(json_path, "w") as fh:
         json.dump(diag, fh, indent=2, sort_keys=True, default=float)
@@ -141,12 +139,8 @@ def _given(cfg, **keys):
 
 
 def _problem(args, cfg):
-    diagram = get_diagram(args.diagram, args.k)
     kw = {key: cfg[key] for key in ("theta", "germ_order", "rtol", "atol") if key in cfg}
-    if args.tol is not None:
-        kw["rtol"] = args.tol
-        kw["atol"] = args.tol * 1e-2
-    return ShootingProblem(diagram, **kw)
+    return ShootingProblem(get_diagram(args.diagram, args.k), **kw)
 
 
 def _solved(args, cfg):
@@ -210,12 +204,10 @@ def _verify(args, cfg):
     mp = max_principle_check(sr)
     worst = max(abs(v["eq_residual"]) for v in mp.values())
     ok &= _check("ratio_equation_extrema", worst < 1e-7, f"{worst:.3e}")
-    expect = sr.diagram.chi_tau
-    tr = None
-    if expect is not None:
-        tr = characteristic_numbers(sr)
-        ok &= _check("chi", abs(tr.chi - expect[0]) < 1e-3, f"{tr.chi:.6f}")
-        ok &= _check("tau", abs(tr.tau - expect[1]) < 1e-3, f"{tr.tau:.6f}")
+    chi, tau = sr.diagram.chi_tau
+    tr = characteristic_numbers(sr)
+    ok &= _check("chi", abs(tr.chi - chi) < 1e-3, f"{tr.chi:.6f}")
+    ok &= _check("tau", abs(tr.tau - tau) < 1e-3, f"{tr.tau:.6f}")
     if args.out:
         emit(sr, args.out, topology=tr)
     return EXIT_PASS if ok else EXIT_CHECK_FAILURE
@@ -231,10 +223,9 @@ def _report(args, cfg):
     g = eigen_gap_report(sr)
     print(f"a_spread  {g['a_spread']:.3e}")
     print(f"b_spread  {g['b_spread']:.3e}")
-    if sr.diagram.chi_tau is not None:
-        tr = characteristic_numbers(sr)
-        print(f"chi       {tr.chi:.9f}")
-        print(f"tau       {tr.tau:.9f}")
+    tr = characteristic_numbers(sr)
+    print(f"chi       {tr.chi:.9f}")
+    print(f"tau       {tr.tau:.9f}")
     return EXIT_PASS
 
 
@@ -248,8 +239,6 @@ def _parser():
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--jobs", type=int, default=1, help="scan worker threads")
-    p.add_argument("--tol", type=float, default=None,
-                   help="integrator relative tolerance override")
     return p
 
 

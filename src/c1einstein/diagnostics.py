@@ -159,8 +159,6 @@ def characteristic_numbers(sr: SolutionReport) -> TopologyReport:
     trajectory.
     """
     d = sr.diagram
-    if d.chi_tau is None:
-        raise ValueError("characteristic numbers unsupported for orbifold cases")
     lam = sr.lam
     gl, gr = sr.germs
     traj = sr.trajectory

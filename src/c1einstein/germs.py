@@ -18,6 +18,7 @@ the shooting unknowns.
 import functools
 import numbers
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -85,8 +86,8 @@ class GroupDiagram:
     left: EndCondition
     right: EndCondition
     orbit_volume: float  # volume of G/H with sigma_i orthonormal
+    chi_tau: tuple  # expected (chi, tau)
     k: int = 0
-    chi_tau: Optional[tuple] = None  # expected (chi, tau); None for the orbifolds
     kahler_pair: tuple = ("B", 1, 2)  # connection coefficients the Kaehler test reads
 
     @property
@@ -157,9 +158,10 @@ def get_diagram(case_id, k=0) -> GroupDiagram:
             raise ValueError("so3_hitchin requires k >= 1")
         if k == 1:
             return replace(_CATALOG["so3_s4"], case_id="so3_hitchin", k=1)
+        # orbifold chi, tau: Kawasaki, Nagoya Math. J. 84 (1981); Hitchin, JDG 42 (1995)
         return GroupDiagram(
-            "so3_hitchin", _mirror(0, 1, 2), _orbifold(1, 2, 0, k),
-            np.pi**2 / 4.0, k=k,
+            "so3_hitchin", _mirror(0, 1, 2), _orbifold(1, 2, 0, k), np.pi**2 / 4.0,
+            chi_tau=(Fraction(k + 1, k), Fraction(2 - 2 * k * k, 3 * k * k)), k=k,
         )
     try:
         diagram = _CATALOG[case_id]

@@ -107,12 +107,13 @@ def test_solve_command(tmp_path, capsys):
 
 
 def test_verify_command_passes(tmp_path, capsys):
-    code = run(["verify", "--diagram", "so3_s4", "--out", str(tmp_path / "o")])
-    assert code == EXIT_PASS
-    out = capsys.readouterr().out
-    assert "PASS match_residual" in out
-    assert "PASS chi" in out and "PASS tau" in out
-    assert "FAIL" not in out
+    for argv in (["so3_s4"], ["so3_hitchin", "--k", "3"]):
+        code = run(["verify", "--diagram", *argv, "--out", str(tmp_path / argv[0])])
+        assert code == EXIT_PASS
+        out = capsys.readouterr().out
+        assert "PASS match_residual" in out
+        assert "PASS chi" in out and "PASS tau" in out
+        assert "FAIL" not in out
 
 
 def test_verify_out_integrates_the_curvature_once(tmp_path, monkeypatch):
@@ -185,11 +186,23 @@ def test_scan_command(tmp_path, capsys):
     assert len(lines) == 1 + 2 ** 5
 
 
+@pytest.mark.parametrize("points", [0, 1])
+def test_scan_box_needs_two_points_per_axis(tmp_path, capsys, points):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"scan_points = {points}\n")
+    code = run(["scan", "--diagram", "so3_s4", "--config", str(cfg),
+                "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "o" / "scan.csv").exists()
+    assert f"at least 2 points per axis, got n = {points}" in capsys.readouterr().err
+
+
 def test_report_command(capsys):
-    code = run(["report", "--diagram", "so3_cp2"])
-    assert code == EXIT_PASS
-    out = capsys.readouterr().out
-    assert "beta" in out and "chi" in out and "tau" in out
+    for argv in (["so3_cp2"], ["so3_hitchin", "--k", "3"]):
+        code = run(["report", "--diagram", *argv])
+        assert code == EXIT_PASS
+        out = capsys.readouterr().out
+        assert "beta" in out and "chi" in out and "tau" in out
 
 
 def test_report_surfaces_diagnostic_errors(capsys, monkeypatch):
@@ -218,12 +231,11 @@ def test_config_keys_and_tol_reach_the_problem(tmp_path, monkeypatch):
     argv = ["solve", "--diagram", "so3_cp2", "--config", str(cfg),
             "--out", str(tmp_path / "o")]
     assert run(argv) == EXIT_NONCONVERGENCE
-    assert run(argv + ["--tol", "1e-10"]) == EXIT_NONCONVERGENCE
-    from_cfg, with_tol = seen
+    # the tolerances have one route, the config file
+    assert run(argv + ["--tol", "1e-10"]) == EXIT_USAGE
+    from_cfg, = seen
     assert (from_cfg.theta, from_cfg.germ_order, from_cfg.rtol, from_cfg.atol) == (
         0.35, 9, 1e-8, 1e-9)
-    assert (with_tol.theta, with_tol.germ_order, with_tol.rtol, with_tol.atol) == (
-        0.35, 9, 1e-10, 1e-10 * 1e-2)
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "report"])

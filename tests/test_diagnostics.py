@@ -4,6 +4,8 @@ quadratures, ratio extremum checks, and the finite-difference curvature
 cross-check.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -150,21 +152,32 @@ def test_eigen_gaps_round_vs_conic(solutions):
 # characteristic numbers
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("case_id,chi,tau", [
-    ("su2_s4", 2.0, 0.0), ("so3_s4", 2.0, 0.0),
-    ("su2_cp2", 3.0, 1.0), ("so3_cp2", 3.0, 1.0),
-    ("su2_cp2bar", 4.0, 0.0), ("so3_s2xs2", 4.0, 0.0),
+# a smooth row's id is its values without k
+@pytest.mark.parametrize("case_id,k,chi,tau", [
+    pytest.param(c, 0, chi, tau, id=f"{c}-{chi}-{tau}") for c, chi, tau in [
+        ("su2_s4", 2.0, 0.0), ("so3_s4", 2.0, 0.0),
+        ("su2_cp2", 3.0, 1.0), ("so3_cp2", 3.0, 1.0),
+        ("su2_cp2bar", 4.0, 0.0), ("so3_s2xs2", 4.0, 0.0)]
+] + [
+    # the orbifolds: chi = 1 + 1/k, tau = -2(k^2 - 1)/(3k^2)
+    pytest.param("so3_hitchin", 2, 1.5, -0.5, id="so3_hitchin-2"),
+    pytest.param("so3_hitchin", 3, 4 / 3, -16 / 27, id="so3_hitchin-3"),
 ])
-def test_characteristic_numbers(case_id, chi, tau, solutions):
-    rep = characteristic_numbers(solutions(case_id))
+def test_characteristic_numbers(case_id, k, chi, tau, solutions):
+    rep = characteristic_numbers(solutions(case_id, k))
     assert rep.chi == pytest.approx(chi, abs=2e-4)
     assert rep.tau == pytest.approx(tau, abs=2e-4)
     assert rep.node_doubling_change < 1e-8
 
 
-def test_characteristic_numbers_unsupported_for_orbifolds(solutions):
-    with pytest.raises(ValueError):
-        characteristic_numbers(solutions("so3_hitchin", 2))
+def test_orbifold_chi_tau_at_a_cone_order_without_a_shipped_guess():
+    d = get_diagram("so3_hitchin", 4)
+    assert d.chi_tau == (Fraction(5, 4), Fraction(-5, 8))
+    # k = 4 ships no guess; this start converges in 3 iterations
+    u = [2 / S3, -2 / S3, np.sqrt(6.0), 5 / (6 * np.sqrt(6.0)), 1.2007040008824]
+    rep = characteristic_numbers(solve(ShootingProblem(d), u))
+    assert abs(rep.chi - d.chi_tau[0]) < 1e-8
+    assert abs(rep.tau - d.chi_tau[1]) < 1e-8
 
 
 # ---------------------------------------------------------------------------
