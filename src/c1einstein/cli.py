@@ -208,8 +208,7 @@ def _verify(args, cfg):
     tr = characteristic_numbers(sr)
     ok &= _check("chi", abs(tr.chi - chi) < 1e-3, f"{tr.chi:.6f}")
     ok &= _check("tau", abs(tr.tau - tau) < 1e-3, f"{tr.tau:.6f}")
-    if args.out:
-        emit(sr, args.out, topology=tr)
+    emit(sr, args.out, topology=tr)
     return EXIT_PASS if ok else EXIT_CHECK_FAILURE
 
 
@@ -252,6 +251,15 @@ def run(argv=None):
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if args.command != "report":
+        # an --out that is empty, names a file or lies below one cannot be
+        # a directory: it fails here rather than after the solve
+        nearest = os.path.abspath(args.out)
+        while not os.path.exists(nearest):
+            nearest = os.path.dirname(nearest)
+        if not args.out or not os.path.isdir(nearest):
+            print(f"error: --out must name a directory, got {args.out!r}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return {"solve": _solve, "scan": _scan,
                 "verify": _verify, "report": _report}[args.command](args, cfg)

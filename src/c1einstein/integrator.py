@@ -10,6 +10,7 @@ leg at the accepted step that crossed the floor or ceiling: that step is
 kept as the last sample, and the crossing time is not refined further.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,38 +110,45 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
     """Integrate the frame system forward from (f0, df0) at t0 to t_target,
     or continue ``leg``, a run of the same start and options to an earlier
     target, from ``leg.resume``: no sample before it depends on the target, so
-    the result is a fresh run's, bit for bit.  The state is Python floats, but
-    each tableau sum stays one BLAS call on the (7, 6) stages: OpenBLAS's gemv
-    kernel rounds otherwise than a Python sum."""
+    the result is a fresh run's, bit for bit.
+
+    The state, time, step size and error norm are Python floats, but each
+    tableau sum stays one ``np.dot`` on views of the (7, 6) stage array made
+    once per call: OpenBLAS's gemv kernel rounds otherwise than a Python
+    sum.  ``core.frame_rhs`` is looked up once per call, and each stage
+    packs its slope inline as ``rhs_vector`` does."""
     if t_target <= t0:
         raise ValueError("t_target must exceed t0")
+    rhs = core.frame_rhs
     if leg is None:
         y = [*map(float, f0), *map(float, df0)]
-        ts, ys, dys = [t0], [y], [rhs_vector(y, lam)]
+        ts, ys, dys = [float(t0)], [y], [rhs_vector(y, lam)]
         # initial step from the slope scale
-        h = 1e-3 * (1 + np.max(np.abs(y))) / (1 + np.max(np.abs(dys[0])))
+        h = float(1e-3 * (1 + np.max(np.abs(y))) / (1 + np.max(np.abs(dys[0]))))
         err_prev, n_rej = 1.0, 0
     elif leg.resume is None:
         return leg  # it never read its target
     else:
         n, h, err_prev, n_rej = leg.resume
         ts, ys, dys = leg.t[:n].tolist(), leg.y[:n].tolist(), leg.dy[:n].tolist()
-    t, y, k7 = ts[-1], ys[-1], dys[-1]  # k7: FSAL slot
+    t, y = ts[-1], ys[-1]
     n_acc = len(ts) - 1
     resume = None
     reason = "step_failure"
     K = np.empty((7, 6))
+    K[0] = dys[-1]  # FSAL: the last accepted slope is every attempt's first stage
+    stages = [(_A[i, :i], K[:i]) for i in range(1, 6)]
+    b5, k6 = _B5[:6], K[:6]
     while n_acc + n_rej < _MAX_STEPS:
         if resume is None and t_target - t < h:
             resume = (len(ts), h, err_prev, n_rej)
         h = min(h, t_target - t)
-        K[0] = k7
         try:
-            for i in range(1, 6):
-                s = np.dot(_A[i, :i], K[:i]).tolist()
-                K[i] = rhs_vector([a + h * b for a, b in zip(y, s)], lam)
-            y5 = [a + h * b for a, b in zip(y, np.dot(_B5[:6], K[:6]).tolist())]
-            K[6] = k5 = rhs_vector(y5, lam)
+            for i, (row, prev) in enumerate(stages, 1):
+                z = [a + h * b for a, b in zip(y, np.dot(row, prev).tolist())]
+                K[i] = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
+            y5 = [a + h * b for a, b in zip(y, np.dot(b5, k6).tolist())]
+            K[6] = k5 = [*y5[3:], *rhs(y5[:3], y5[3:], lam).tolist()]
         except core.NonPositiveProfile:
             err = None  # stepped over a collapse: rejected, retried at h / 4
         else:
@@ -149,12 +157,13 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             for e, a, b in zip(np.dot(_ERR, K).tolist(), map(abs, y), map(abs, y5)):
                 q = h * e / (atol + rtol * (a if a > b else b))
                 err += q * q
-            err = np.sqrt(err / 6)
+            err = math.sqrt(err / 6)
         if err is not None and err <= 1.0:
-            t, y, k7 = t + h, y5, k5
+            t, y = t + h, y5
+            K[0] = K[6]
             ts.append(t)
             ys.append(y)
-            dys.append(k7)
+            dys.append(k5)
             n_acc += 1
             if min(y[:3]) <= _COLLAPSE_FLOOR:
                 reason = "collapse_event"
@@ -166,8 +175,9 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
                 resume = resume or (n_acc, h, err_prev, n_rej)
                 reason = "reached_target"
                 break
-            # PI controller
-            fac = 0.9 * err ** -0.14 * err_prev ** 0.08
+            # PI controller; an exact step (err = 0, where the power would
+            # divide by zero) takes the largest growth
+            fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0.0 else 5.0
             err_prev = max(err, 1e-10)
             h *= min(5.0, max(0.2, fac))
         else:

@@ -48,9 +48,12 @@ def initial_guess(case_id, k=0):
 
 
 def scan_box(case_id, k=0, width=_BOX_WIDTH, n=3):
-    """Grid of unknown vectors spanning a box around the shipped guess."""
+    """Grid of unknown vectors spanning a box around the shipped guess; a
+    relative ``width`` below 1 keeps the positive unknowns positive."""
     if n < 2:
         raise ValueError(f"a scan box needs at least 2 points per axis, got n = {n}")
+    if not 0.0 < width < 1.0:
+        raise ValueError(f"a scan box needs a relative width in (0, 1), got width = {width}")
     g = initial_guess(case_id, k)
     axes = [np.linspace(v * (1 - width), v * (1 + width), n) if v != 0.0
             else np.linspace(-width, width, n) for v in g]

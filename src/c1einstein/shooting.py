@@ -11,7 +11,7 @@ is a well-posed least-squares root find.
 import concurrent.futures
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -116,13 +116,17 @@ class Shot:
     "germ" (the series or its hand-off offset could not be built),
     "handoff" (the hand-off offset is not below the match distance), or the
     stop reason of the first leg that fell short ("collapse_event",
-    "blowup_event", "step_failure")."""
+    "blowup_event", "step_failure").
+
+    ``sides`` is the side cache the shot read and filled, which a shot
+    built with this one as ``base`` shares (see ``shoot``)."""
 
     germs: tuple
     legs: tuple
     residual: np.ndarray
     reach: tuple = ()
     failure: Optional[str] = None
+    sides: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -161,47 +165,29 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
     the lambda = 3 gauge, since f -> s f, t -> s t, lam -> lam / s^2 maps
     solutions to solutions.  A malformed unknown vector raises ValueError.
 
-    A side, the germ and leg of one end, depends only on that end's free
-    values and match distance.  With ``base``, a shot of the same problem,
-    a side whose free values equal base's takes base's germ, and base's leg
-    too when its match distance is equal, or continued when it grew.  A mirror
-    shot (equal ends, free values and match distances) builds one side for
-    both.  The shot is the same, bit for bit, as one built side by side.
+    A side, the germ and leg of one end, depends only on that end's
+    condition, free values and match distance.  Each side is looked up in a
+    side cache (see ``_side``): base's, when ``base``, a shot of the same
+    problem, is given, and a new one otherwise.  So a mirror shot (equal
+    ends, free values and match distances) builds one side for both, a
+    column of base's Jacobian takes base's unchanged side, and a T column
+    continues base's legs.  The shot is the same, bit for bit, as one built
+    side by side.
     """
+    sides = {} if base is None else base.sides
     try:
         pr.check_admissible(u)
     except AdmissibilityError:
-        return Shot((), (), np.full(6, _PENALTY), failure="inadmissible")
+        return Shot((), (), np.full(6, _PENALTY), failure="inadmissible", sides=sides)
     left, right, T = pr.split(u)
     reach = (pr.theta * T, (1.0 - pr.theta) * T)
-    ends = (pr.diagram.left, pr.diagram.right)
-    frees = (left, right)
-    u = np.asarray(u, dtype=float)
-    nl = len(left)
-    # tobytes, not ==: a germ built from -0.0 may differ from one built from 0.0
-    mirror = (ends[0] == ends[1] and reach[0] == reach[1]
-              and u[:nl].tobytes() == u[nl:-1].tobytes())
-    sides = range(1 if mirror else 2)
-    same = [base is not None and bool(base.germs)
-            and base.germs[i].free_values == frees[i] for i in sides]
-    kw = dict(rtol=pr.rtol, atol=pr.atol)
-    if pr.lam > 0.0:
-        kw["blowup_ceiling"] = _BLOWUP * math.sqrt(3.0 / pr.lam)
     try:
-        germs = [base.germs[i] if same[i] else
-                 series_solve(ends[i], frees[i], pr.lam, order=pr.germ_order)
-                 for i in sides]
-        legs = [base.legs[i] if same[i] and base.reach[i] == reach[i] else
-                integrate_germ(germs[i], reach[i], **kw,
-                               leg=base.legs[i] if same[i] and base.reach[i] < reach[i] else None)
-                for i in sides]
+        germs, legs = zip(*(_side(pr, sides, end, free, r) for end, free, r in
+                            zip((pr.diagram.left, pr.diagram.right), (left, right), reach)))
     except GermConstructionError:
-        return Shot((), (), np.full(6, _PENALTY), failure="germ")
+        return Shot((), (), np.full(6, _PENALTY), failure="germ", sides=sides)
     except HandoffError:
-        return Shot((), (), np.full(6, _PENALTY), failure="handoff")
-    if mirror:
-        germs, legs = germs * 2, legs * 2
-    germs, legs = tuple(germs), tuple(legs)
+        return Shot((), (), np.full(6, _PENALTY), failure="handoff", sides=sides)
     short = 0.0
     failure = None
     for traj, t_need in zip(legs, reach):
@@ -209,18 +195,39 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
             short += (t_need - traj.t_end) / max(t_need, 1e-300)
             failure = failure or traj.reason
     if failure is not None:
-        return Shot(germs, legs, np.full(6, _PENALTY * (1.0 + short)), reach, failure)
+        return Shot(germs, legs, np.full(6, _PENALTY * (1.0 + short)), reach, failure, sides)
     fl, dfl = legs[0].eval(reach[0])
     fr, dfr = legs[1].eval(reach[1])
     res = np.empty(6)
     res[:3] = fl[0] - fr[0]
     res[3:] = dfl[0] + dfr[0]  # opposite orientations
-    return Shot(germs, legs, res, reach)
+    return Shot(germs, legs, res, reach, sides=sides)
+
+
+def _side(pr, sides, end, free, reach):
+    """The germ and leg of one end from the side cache ``sides``, which maps
+    (end condition, free values) to the germ and its legs by match distance:
+    a leg of the same distance is taken as it is, one of a shorter distance
+    is continued, and whatever is built is stored."""
+    # tobytes, not ==: a germ built from -0.0 may differ from one built from 0.0
+    key = (end, np.array(list(free.values())).tobytes())
+    if key not in sides:
+        sides[key] = (series_solve(end, free, pr.lam, order=pr.germ_order), {})
+    germ, legs = sides[key]
+    if reach not in legs:
+        kw = dict(rtol=pr.rtol, atol=pr.atol)
+        if pr.lam > 0.0:
+            kw["blowup_ceiling"] = _BLOWUP * math.sqrt(3.0 / pr.lam)
+        shorter = [r for r in legs if r < reach]
+        legs[reach] = integrate_germ(germ, reach, **kw,
+                                     leg=legs[max(shorter)] if shorter else None)
+    return germ, legs[reach]
 
 
 def match_residual(pr: ShootingProblem, u, base: Optional[Shot] = None):
     """Six differences of (f, f') where the two outward integrations meet;
-    ``base`` lends its unchanged sides as in ``shoot``."""
+    with ``base``, the sides are looked up in base's side cache as in
+    ``shoot``, and the ones built are added to it."""
     return shoot(pr, u, base).residual
 
 
@@ -250,8 +257,10 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
     norm = np.max(np.abs(shot.residual))
 
     def jacobian(u, shot):
-        # each column moves one unknown, so it rebuilds only the side that
-        # unknown feeds: a germ parameter one germ and leg, T both legs
+        # each column moves one unknown and shares the base shot's side
+        # cache, so it builds only the side that unknown feeds: a germ
+        # parameter one germ and leg (none on a mirror diagram's right end,
+        # whose side the left column built), T continues the legs
         J = np.empty((6, len(u)))
         for i in range(len(u)):
             h = _FD_STEP * (1.0 + abs(u[i]))

@@ -156,7 +156,18 @@ def test_nonconvergence_exit(tmp_path, capsys):
     assert "non-convergence" in capsys.readouterr().err
 
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(tmp_path, capsys, monkeypatch):
+    # an --out that cannot be a directory is rejected before any solve
+    monkeypatch.setattr(cli, "solve", None)
+    monkeypatch.setattr(cli, "scan", None)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in ("", str(afile), str(afile / "sub")):
+        for command in ("solve", "scan", "verify"):
+            assert run([command, "--diagram", "so3_s4", "--out", out]) == EXIT_USAGE
+            assert f"--out must name a directory, got {out!r}" in capsys.readouterr().err
+    assert afile.read_text() == ""
+    monkeypatch.undo()
     assert run(["solve", "--diagram", "nope"]) == EXIT_USAGE
     assert run(["solve"]) == EXIT_USAGE
     assert run(["explode", "--diagram", "su2_s4"]) == EXIT_USAGE
@@ -195,6 +206,17 @@ def test_scan_box_needs_two_points_per_axis(tmp_path, capsys, points):
     assert code == EXIT_USAGE
     assert not (tmp_path / "o" / "scan.csv").exists()
     assert f"at least 2 points per axis, got n = {points}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", [0.0, 1.0, 1.5])
+def test_scan_box_stays_inside_the_positive_domain(tmp_path, capsys, width):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"scan_width = {width}\nscan_points = 2\n")
+    code = run(["scan", "--diagram", "so3_s4", "--config", str(cfg),
+                "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "o").exists()
+    assert f"relative width in (0, 1), got width = {width}" in capsys.readouterr().err
 
 
 def test_report_command(capsys):

@@ -2,6 +2,8 @@
 forms, event detection, tolerance scaling, time reversal, and drift tracking.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,19 @@ def test_a_stage_past_a_collapse_is_rejected_and_retried(monkeypatch):
     t, y = _array_dopri5(np.array([1.0, 1.0, 1.0, -10.0, 0.0, 0.0]), 0.0, 5.0, 3.0,
                          1e-10, 1e-12, 1e6)
     assert np.array_equal(traj.t, t) and np.array_equal(traj.y, y)
+
+
+def test_an_exact_step_takes_the_largest_growth():
+    # f'' = 0 at f = (2, 2, 2), f' = 0, lam = 1/2: every stage is the same,
+    # so the error estimate is exactly zero, and the PI controller's power
+    # of it must not divide by zero; each step grows fivefold
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_frame([2, 2, 2], [0, 0, 0], 0, 1, 0.5)
+    assert traj.reason == "reached_target"
+    assert (traj.n_accepted, traj.n_rejected) == (5, 0)
+    assert np.allclose(traj.t, [0.0, 0.003, 0.018, 0.093, 0.468, 1.0], rtol=0, atol=1e-15)
+    assert np.array_equal(traj.y, np.tile([2.0, 2.0, 2.0, 0.0, 0.0, 0.0], (6, 1)))
 
 
 def test_only_a_nonpositive_profile_shortens_the_step(monkeypatch):

@@ -228,6 +228,25 @@ INSTANCES = [(c, 0) for c in CASES] + [("so3_hitchin", k) for k in (1, 2, 3)]
 MIRRORS = ("su2_s4", "su2_cp2bar")
 
 
+def test_a_mirror_solve_builds_each_distinct_germ_once(monkeypatch):
+    real = germs.series_solve
+    built = []
+
+    def counted(*args, **kw):
+        built.append(real(*args, **kw))
+        return built[-1]
+
+    monkeypatch.setattr(shooting, "series_solve", counted)
+    pr = _problem("su2_cp2bar")
+    sr = solve(pr, initial_guess("su2_cp2bar"))
+    # the base shot builds one germ for both ends and each left
+    # germ-parameter column one; each right column moves the right end to
+    # the free values a left column moved the left end to, so it finds
+    # that column's side in the cache, and the T column keeps the base germ
+    assert sr.n_iter == 0 and len(built) == 3
+    assert sr.germs[0] is sr.germs[1] is built[0]
+
+
 def test_blown_shot_stops_at_the_profile_scale():
     pr = _problem("su2_s4")
     u = scan_box("su2_s4", width=0.25, n=3)[242]
@@ -296,9 +315,11 @@ def test_jacobian_reusing_the_base_shot_is_exact(monkeypatch, case_id, k):
     solve(pr, initial_guess(case_id, k))
     assert len(calls) == 5
     # every leg of the solve, Jacobian columns included, stays below half
-    # the blow-up ceiling; a mirror diagram's base shot and T column build
-    # one leg each, the others two
-    assert len(peaks) == (6 if case_id in MIRRORS else 8)
+    # the blow-up ceiling; the base shot and the T column build one leg per
+    # distinct side (one on a mirror diagram, two otherwise) and each
+    # germ-parameter column one, except a mirror diagram's right columns,
+    # which find the sides their left twins built
+    assert len(peaks) == (4 if case_id in MIRRORS else 8)
     for reason, peak in peaks:
         assert reason == "reached_target" and peak <= shooting._BLOWUP / 2, peak
     _assert_jacobians_exact(pr, calls)
