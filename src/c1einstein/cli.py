@@ -167,7 +167,7 @@ def _solve(args, cfg):
 def _scan(args, cfg):
     pr = _problem(args, cfg)
     grid = scan_box(args.diagram, args.k, **_given(cfg, width="scan_width", n="scan_points"))
-    results = scan(pr, grid, jobs=args.jobs)
+    results = scan(pr, grid)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "scan.csv")
     names = pr.unknown_names
@@ -237,7 +237,6 @@ def _parser():
     p.add_argument("--k", type=int, default=0, help="Hitchin cone parameter")
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="scan worker threads")
     return p
 
 

@@ -8,7 +8,6 @@ one of the six conditions dependent, so five unknowns against six equations
 is a well-posed least-squares root find.
 """
 
-import concurrent.futures
 import logging
 import math
 from dataclasses import dataclass, field
@@ -305,16 +304,18 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
 
 
 def scan(pr: ShootingProblem, grid, jobs=1):
-    """Residual map over an iterable of unknown vectors; order-preserving."""
+    """Residual map over an iterable of unknown vectors, in input order.
+    The points are shot in ascending T with one side cache, so each distinct
+    germ is built once and each leg is continued to longer match distances;
+    every norm is a fresh shot's, bit for bit.  ``jobs`` must be 1: the
+    keyword goes when the benchmark stops passing it."""
+    if jobs != 1:
+        raise ValueError(f"scan runs on one thread, got jobs = {jobs}")
     grid = [np.asarray(u, dtype=float) for u in grid]
-
-    def one(u):
-        return u, float(np.max(np.abs(match_residual(pr, u))))
-
-    if jobs <= 1:
-        return [one(u) for u in grid]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(one, grid))
+    anchor = Shot((), (), np.empty(0))  # an empty shot: every point shares its side cache
+    norms = {i: float(np.max(np.abs(match_residual(pr, grid[i], base=anchor))))
+             for i in sorted(range(len(grid)), key=lambda i: pr.split(grid[i])[2])}
+    return [(u, norms[i]) for i, u in enumerate(grid)]
 
 
 def detect_equal_pairs(sr: SolutionReport, tol=1e-6):

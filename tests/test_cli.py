@@ -190,7 +190,7 @@ def test_scan_command(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("scan_width = 0.05\nscan_points = 2\n")
     code = run(["scan", "--diagram", "su2_s4", "--config", str(cfg),
-                "--jobs", "2", "--out", str(tmp_path / "o")])
+                "--out", str(tmp_path / "o")])
     assert code == EXIT_PASS
     lines = (tmp_path / "o" / "scan.csv").read_text().splitlines()
     assert lines[0] == "L.da,L.db,R.da,R.db,T,residual"
@@ -255,6 +255,9 @@ def test_config_keys_and_tol_reach_the_problem(tmp_path, monkeypatch):
     assert run(argv) == EXIT_NONCONVERGENCE
     # the tolerances have one route, the config file
     assert run(argv + ["--tol", "1e-10"]) == EXIT_USAGE
+    # a scan runs on one thread: there is no --jobs
+    assert run(["scan", "--diagram", "su2_s4", "--jobs", "2",
+                "--out", str(tmp_path / "o")]) == EXIT_USAGE
     from_cfg, = seen
     assert (from_cfg.theta, from_cfg.germ_order, from_cfg.rtol, from_cfg.atol) == (
         0.35, 9, 1e-8, 1e-9)

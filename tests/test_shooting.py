@@ -547,15 +547,54 @@ def test_match_point_independence(solutions):
 # scans
 # ---------------------------------------------------------------------------
 
-def test_scan_orders_and_parallelism():
+def test_scan_keeps_input_order_and_fresh_shot_bits():
+    # a scan shoots in ascending T against one side cache; each answer must
+    # still be a fresh shot's norm, bit for bit, in input order
     pr = _problem("su2_s4")
-    grid = scan_box("su2_s4", width=0.1, n=2)
-    seq = scan(pr, grid, jobs=1)
-    par = scan(pr, grid, jobs=4)
-    assert len(seq) == 32
-    for (u1, r1), (u2, r2) in zip(seq, par):
-        assert np.array_equal(u1, u2) and r1 == r2
-    assert scan(pr, [], jobs=2) == []
+    box = scan_box("su2_s4", width=0.1, n=2)
+    inadmissible = box[7].copy()
+    inadmissible[-1] = 0.0
+    blown = scan_box("su2_s4", width=0.25, n=3)[242]
+    grid = [*box, box[12], inadmissible, blown]
+    grid = [grid[i] for i in np.random.default_rng(5).permutation(len(grid))]
+    Ts = [u[-1] for u in grid]
+    assert any(a > b for a, b in zip(Ts, Ts[1:])) and len(set(Ts)) < len(Ts)
+    out = scan(pr, grid)
+    assert len(out) == len(grid)
+    for (v, r), u in zip(out, grid):
+        assert np.array_equal(v, u)
+        assert r == float(np.max(np.abs(match_residual(pr, u))))
+    assert scan(pr, []) == []
+    with pytest.raises(ValueError, match="length 5"):
+        scan(pr, [box[0], [1.0, 2.0, 3.0]])
+
+
+def test_scan_runs_on_one_thread():
+    pr = _problem("su2_s4")
+    with pytest.raises(ValueError, match="jobs = 2"):
+        scan(pr, scan_box("su2_s4", width=0.1, n=2), jobs=2)
+
+
+def test_a_scan_builds_each_distinct_side_once(monkeypatch):
+    real = shooting.series_solve
+    real_leg = shooting.integrate_germ
+    built, legs = [], []
+
+    def counted(*args, **kw):
+        built.append(args[0])
+        return real(*args, **kw)
+
+    def counted_leg(*args, **kw):
+        legs.append(args[0])
+        return real_leg(*args, **kw)
+
+    monkeypatch.setattr(shooting, "series_solve", counted)
+    monkeypatch.setattr(shooting, "integrate_germ", counted_leg)
+    scan(_problem("su2_s4"), scan_box("su2_s4", width=0.25, n=3))
+    # both ends of su2_s4 are one end condition: 3 x 3 free values make 9
+    # germs, and each is integrated to the box's 3 match distances, each
+    # longer leg continuing the one before (shot point by point: 459 each)
+    assert (len(built), len(legs)) == (9, 27)
 
 
 def test_scan_minimum_near_solution():
