@@ -6,8 +6,9 @@ cyclically along the last axis: for index i the companions are j = J[i] =
 (i+1) % 3 and k = K[i] = (i+2) % 3.  Every function except frame_rhs takes a
 single triple or a batch with any leading shape, and a batch gives exactly
 the row-by-row results.  frame_rhs, the integrator's hot path, takes one
-triple and evaluates it on scalars.  Every function here is pure; nothing is
-mutated.
+triple and evaluates it on scalars.  Profiles are coerced and checked where
+they enter; derived triples (L, R, A, B, a, b) arrive as arrays.  Every
+function here is pure; nothing is mutated.
 """
 
 from dataclasses import dataclass
@@ -71,8 +72,6 @@ def lr_rhs(L, R, lam):
     """First-order evolution of (L, R):
     L_i' = -S L_i + 2 R_i^2 - 2 (R_j - R_k)^2 - lambda,
     R_i' = R_i (L_i - L_j - L_k)."""
-    L = np.asarray(L, dtype=float)
-    R = np.asarray(R, dtype=float)
     S = np.sum(L, axis=-1)[..., None]
     dL = -S * L + 2.0 * R**2 - 2.0 * (R[..., J] - R[..., K]) ** 2 - lam
     dR = R * (L - L[..., J] - L[..., K])
@@ -101,8 +100,7 @@ def frame_rhs(f, df, lam):
     f1, f2, f3 = f = [*map(float, f)]
     d1, d2, d3 = map(float, df)
     if f1 <= 0.0 or f2 <= 0.0 or f3 <= 0.0:
-        i = next(i for i, x in enumerate(f) if x <= 0.0)
-        raise NonPositiveProfile(f"f_{i + 1} = {f[i]} must be positive")
+        _check_positive(f)
     try:
         return np.array(_frame_rhs(f1, f2, f3, d1, d2, d3, lam))
     except ZeroDivisionError:
@@ -112,8 +110,6 @@ def frame_rhs(f, df, lam):
 def constraint_residual(L, R, lam):
     """Residual of the conserved constraint
     lambda = -sum R_i^2 + 2 sum_{i<j} R_i R_j - sum_{i<j} L_i L_j."""
-    L = np.asarray(L, dtype=float)
-    R = np.asarray(R, dtype=float)
     sum_RR = np.sum(R * R[..., J], axis=-1)
     sum_LL = np.sum(L * L[..., J], axis=-1)
     return -np.sum(R**2, axis=-1) + 2.0 * sum_RR - sum_LL - lam
@@ -122,8 +118,6 @@ def constraint_residual(L, R, lam):
 def ab_coeffs(L, R):
     """Connection coefficients on Lambda^2_+/-:
     A_i = L_i + R_j + R_k - R_i,  B_i = L_i - R_j - R_k + R_i."""
-    L = np.asarray(L, dtype=float)
-    R = np.asarray(R, dtype=float)
     Rj, Rk = R[..., J], R[..., K]
     return L + Rj + Rk - R, L - Rj - Rk + R
 
@@ -132,9 +126,6 @@ def ab_rhs(A, B, R):
     """Evolution of the connection coefficients (cross-check use only):
     A_i' = (R_j + R_k - 3 R_i) A_i - A_i^2 + A_j A_k,
     B_i' = (3 R_i - R_j - R_k) B_i - B_i^2 + B_j B_k."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    R = np.asarray(R, dtype=float)
     Rj, Rk = R[..., J], R[..., K]
     dA = (Rj + Rk - 3.0 * R) * A - A**2 + A[..., J] * A[..., K]
     dB = (3.0 * R - Rj - Rk) * B - B**2 + B[..., J] * B[..., K]
@@ -145,9 +136,6 @@ def curv_eigs(R, A, B):
     """Curvature-operator eigenvalues in the invariant frames:
     a_i = 2 R_i A_i - A_j A_k on Lambda^2_+,
     b_i = -2 R_i B_i - B_j B_k on Lambda^2_-."""
-    R = np.asarray(R, dtype=float)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
     a = 2.0 * R * A - A[..., J] * A[..., K]
     b = -2.0 * R * B - B[..., J] * B[..., K]
     return a, b
@@ -165,10 +153,6 @@ def frame_curvature(f, df):
 def curv_eigs_rhs(a, b, A, B):
     """Evolution of the eigenvalue triples (cross-check use only):
     a_i' = -A_j (a_i - a_k) - A_k (a_i - a_j), likewise b with B."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
     da = -A[..., J] * (a - a[..., K]) - A[..., K] * (a - a[..., J])
     db = -B[..., J] * (b - b[..., K]) - B[..., K] * (b - b[..., J])
     return da, db
@@ -182,13 +166,13 @@ def gap_rhs(g: GapState, coeffs) -> GapState:
     Role "E" evolves (E1, E3) = (b2-b1, b2-b3) with the B coefficients:
         E1' = (B2-B1) E3 - (B2+2B3) E1,   E3' = (B2-B3) E1 - (2B1+B2) E3.
     """
-    c = np.asarray(coeffs, dtype=float)
+    c0, c1, c2 = coeffs
     if g.role == "F":
-        d1 = (c[0] - c[1]) * g.g2 - (c[0] + 2.0 * c[2]) * g.g1
-        d2 = (c[0] - c[2]) * g.g1 - (c[0] + 2.0 * c[1]) * g.g2
+        d1 = (c0 - c1) * g.g2 - (c0 + 2.0 * c2) * g.g1
+        d2 = (c0 - c2) * g.g1 - (c0 + 2.0 * c1) * g.g2
     elif g.role == "E":
-        d1 = (c[1] - c[0]) * g.g2 - (c[1] + 2.0 * c[2]) * g.g1
-        d2 = (c[1] - c[2]) * g.g1 - (2.0 * c[0] + c[1]) * g.g2
+        d1 = (c1 - c0) * g.g2 - (c1 + 2.0 * c2) * g.g1
+        d2 = (c1 - c2) * g.g1 - (2.0 * c0 + c1) * g.g2
     else:
         raise ValueError(f"unknown gap role {g.role!r}")
     return GapState(float(d1), float(d2), g.role)

@@ -29,7 +29,6 @@ __all__ = [
     "GroupDiagram",
     "EndCondition",
     "SeriesGerm",
-    "IndicialProblem",
     "GermConstructionError",
     "DIAGRAM_IDS",
     "diagram_catalog",
@@ -194,8 +193,6 @@ class _Structure:
     names: list  # slot names, in slot order
     free_slots: dict  # parameter name -> slot index
     N: int  # ansatz order, padded past the germ order
-    L: int  # Taylor orders of P in use
-    wanted: list  # slots that reach the germ's own orders
     first: np.ndarray = field(init=False)  # first Taylor order of P each slot moves
     m_stop: int = field(init=False)  # last order of P the staircase solves
 
@@ -252,11 +249,11 @@ def _structure(end: EndCondition, order: int) -> _Structure:
         raise ValueError(f"unknown end kind {end.kind!r}")
 
     st = _Structure(base.ravel(), np.array(rows), names,
-                    {p: names.index(s) for p, s in zip(end.free, pins)}, N, N + 4,
-                    [s for s, n in enumerate(lowest) if n <= order])
+                    {p: names.index(s) for p, s in zip(end.free, pins)}, N)
+    L = N + 4  # Taylor orders of P in use
     # the first Taylor order of P each slot affects, at a generic point
     g = np.random.default_rng(12345).uniform(0.3, 1.1, size=len(names))
-    r = _probe(st, g, range(len(names)), _LAM_GENERIC, st.L)
+    r = _probe(st, g, range(len(names)), _LAM_GENERIC, L)
     scale = max(np.max(np.abs(r[0])), 1.0)
     hit = np.abs(r[1::2] - r[0]).max(axis=1) > 1e-9 * scale  # (slots, L)
     absent = ~hit.any(axis=1)
@@ -264,7 +261,8 @@ def _structure(end: EndCondition, order: int) -> _Structure:
         raise GermConstructionError(
             f"slot {names[absent.argmax()]} never enters the residual")
     st.first = hit.argmax(axis=1)
-    st.m_stop = int(max(st.first[s] for s in st.wanted))
+    wanted = [s for s, n in enumerate(lowest) if n <= order]  # slots in the germ's orders
+    st.m_stop = int(max(st.first[wanted]))
     return st
 
 
@@ -394,11 +392,9 @@ class SeriesGerm:
     """Truncated Taylor germ at a singular orbit, in the local coordinate
     increasing away from the orbit."""
 
-    end: EndCondition
     lam: float
     order: int
     coeffs: np.ndarray  # (3, order+1)
-    free_values: dict
 
     def eval(self, t):
         """(f, df) at local coordinate t; t may be an array."""
@@ -447,7 +443,7 @@ def series_solve(end: EndCondition, free, lam, order=8) -> SeriesGerm:
         determined[s] = True
     _staircase(st, values, determined, lam)
     coeffs = _apply(st, values)[:, : order + 1]
-    return SeriesGerm(end, lam, order, coeffs, dict(free))
+    return SeriesGerm(lam, order, coeffs)
 
 
 # relative equation defect a germ must reach at its hand-off offset
@@ -502,34 +498,28 @@ def germ_start_offset(germ: SeriesGerm):
 # indicial analysis (regular singular points t X' = Q X + t B(t) X)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndicialProblem:
-    Q: np.ndarray
-    tag: str = ""
-
-
-def indicial_eigenvalues(p: IndicialProblem):
-    """Closed-form eigenvalues of the 2x2 indicial matrix, ascending."""
-    Q = np.asarray(p.Q, dtype=float)
+def indicial_eigenvalues(Q):
+    """Closed-form eigenvalues of the 2x2 indicial matrix Q, ascending."""
+    Q = np.asarray(Q, dtype=float)
     tr = Q[0, 0] + Q[1, 1]
     disc = np.sqrt((Q[0, 0] - Q[1, 1]) ** 2 + 4.0 * Q[0, 1] * Q[1, 0])
     return (tr - disc) / 2.0, (tr + disc) / 2.0
 
 
 def indicial_catalog(k=2):
-    """The indicial problems arising at the singular orbits."""
+    """The 2x2 indicial matrices arising at the singular orbits."""
     half = 0.5
 
-    def sym(p, q, tag):
-        return IndicialProblem(np.array([[p, q], [q, p]]), tag)
+    def sym(p, q):
+        return np.array([[p, q], [q, p]])
 
     return {
-        "s4_A_pair": sym(-half, 3 * half, "A2,A3 at the RP^2 end of S^4"),
-        "s4_F_pair": sym(-3 * half, 3 * half, "F2,F3 gaps at the RP^2 end of S^4"),
-        "cp2_B_pair": sym(-half, 3 * half, "B1,B2 at the conic end of CP^2"),
-        "s2xs2_A_pair": sym(-1.0, 2.0, "A1,A2 at an S^2 end of S^2xS^2"),
-        "hitchin_B_pair": sym(-k / 2.0, (k + 2) / 2.0, f"B1,B3 at the O_{k} orbifold end"),
-        "hitchin_E_pair": sym(-(k + 2) / 2.0, (k + 2) / 2.0, f"E1,E3 gaps at the O_{k} orbifold end"),
+        "s4_A_pair": sym(-half, 3 * half),  # A2,A3 at the RP^2 end of S^4
+        "s4_F_pair": sym(-3 * half, 3 * half),  # F2,F3 gaps at the RP^2 end of S^4
+        "cp2_B_pair": sym(-half, 3 * half),  # B1,B2 at the conic end of CP^2
+        "s2xs2_A_pair": sym(-1.0, 2.0),  # A1,A2 at an S^2 end of S^2xS^2
+        "hitchin_B_pair": sym(-k / 2.0, (k + 2) / 2.0),  # B1,B3 at the O_k orbifold end
+        "hitchin_E_pair": sym(-(k + 2) / 2.0, (k + 2) / 2.0),  # E1,E3 gaps at the O_k end
     }
 
 
@@ -541,12 +531,12 @@ class DecayReport:
     passed: bool
 
 
-def germ_decay_check(ts, X, p: IndicialProblem) -> DecayReport:
+def germ_decay_check(ts, X, Q) -> DecayReport:
     """Check the leading vanishing order of a 2-component quantity near an end.
 
     ts: local coordinates approaching 0; X: shape (len(ts), 2).  Fits the
     slope of log |X| against log t and accepts if it matches an eigenvalue of
-    the indicial matrix within 0.2, or if X sits below a noise floor of 1e-9.
+    the indicial matrix Q within 0.2, or if X sits below a noise floor of 1e-9.
     """
     ts = np.asarray(ts, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -557,7 +547,7 @@ def germ_decay_check(ts, X, p: IndicialProblem) -> DecayReport:
         return DecayReport(True, None, None, True)
     good = mag > 1e-300
     slope, _ = np.polyfit(np.log(ts[good]), np.log(mag[good]), 1)
-    eigs = indicial_eigenvalues(p)
+    eigs = indicial_eigenvalues(Q)
     nearest = min(eigs, key=lambda e: abs(e - slope))
     ok = abs(nearest - slope) <= 0.2
     return DecayReport(False, float(slope), float(nearest) if ok else None, ok)

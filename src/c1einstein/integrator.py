@@ -49,7 +49,6 @@ class Trajectory:
     dy: np.ndarray  # (n, 6) slopes at the samples
     lam: float
     reason: str     # reached_target | collapse_event | blowup_event | step_failure
-    n_accepted: int
     n_rejected: int
     # loop state (samples kept, h, err_prev, n_rejected) at the first step
     # that read the target, from which integrate_frame continues the leg
@@ -58,6 +57,11 @@ class Trajectory:
     def __post_init__(self):
         for a in (self.t, self.y, self.dy):
             a.flags.writeable = False
+
+    @property
+    def n_accepted(self):
+        """Accepted steps up to t_end, a continued leg's prefix included."""
+        return len(self.t) - 1
 
     @property
     def t_end(self):
@@ -186,7 +190,7 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             if h < 1e-14 * max(1.0, abs(t)):
                 break
     return Trajectory(np.array(ts), np.array(ys), np.array(dys), lam,
-                      reason, n_acc, n_rej, resume)
+                      reason, n_rej, resume)
 
 
 class HandoffError(ValueError):

@@ -134,7 +134,6 @@ class SolutionReport:
     u: np.ndarray
     T: float
     converged: bool
-    residual: np.ndarray
     residual_norm: float
     n_iter: int
     jacobian_rank: int
@@ -164,14 +163,13 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
     the lambda = 3 gauge, since f -> s f, t -> s t, lam -> lam / s^2 maps
     solutions to solutions.  A malformed unknown vector raises ValueError.
 
-    A side, the germ and leg of one end, depends only on that end's
-    condition, free values and match distance.  Each side is looked up in a
-    side cache (see ``_side``): base's, when ``base``, a shot of the same
-    problem, is given, and a new one otherwise.  So a mirror shot (equal
-    ends, free values and match distances) builds one side for both, a
-    column of base's Jacobian takes base's unchanged side, and a T column
-    continues base's legs.  The shot is the same, bit for bit, as one built
-    side by side.
+    A side, the germ and leg of one end, depends only on the problem, that
+    end's condition, free values and match distance.  Each side is looked
+    up in a side cache (see ``_side``): base's, when ``base`` is given, and
+    a new one otherwise.  So a mirror shot (equal ends, free values and
+    match distances) builds one side for both, a column of base's Jacobian
+    takes base's unchanged side, and a T column continues base's legs.  The
+    shot is the same, bit for bit, as one built side by side.
     """
     sides = {} if base is None else base.sides
     try:
@@ -205,11 +203,11 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
 
 def _side(pr, sides, end, free, reach):
     """The germ and leg of one end from the side cache ``sides``, which maps
-    (end condition, free values) to the germ and its legs by match distance:
-    a leg of the same distance is taken as it is, one of a shorter distance
-    is continued, and whatever is built is stored."""
+    (problem, end condition, free values) to the germ and its legs by match
+    distance: a leg of the same distance is taken as it is, one of a shorter
+    distance is continued, and whatever is built is stored."""
     # tobytes, not ==: a germ built from -0.0 may differ from one built from 0.0
-    key = (end, np.array(list(free.values())).tobytes())
+    key = (pr, end, np.array(list(free.values())).tobytes())
     if key not in sides:
         sides[key] = (series_solve(end, free, pr.lam, order=pr.germ_order), {})
     germ, legs = sides[key]
@@ -242,7 +240,6 @@ def _assemble(pr: ShootingProblem, T, shot: Shot):
     y = np.concatenate([trl.y, trr.y[keep][::-1] * _MIRROR])
     dy = np.concatenate([trl.dy, trr.dy[keep][::-1] * -_MIRROR])
     return Trajectory(t, y, dy, pr.lam, "reached_target",
-                      trl.n_accepted + trr.n_accepted,
                       trl.n_rejected + trr.n_rejected)
 
 
@@ -296,7 +293,7 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
     left, right, T = pr.split(u)
     traj = _assemble(pr, T, shot)
     return SolutionReport(
-        problem=pr, u=u, T=T, converged=True, residual=shot.residual,
+        problem=pr, u=u, T=T, converged=True,
         residual_norm=float(norm), n_iter=n_iter, jacobian_rank=int(rank),
         trajectory=traj, left_free=left, right_free=right, germs=shot.germs,
         drift=drift_report(traj),

@@ -409,6 +409,31 @@ def test_indicial_eigenvalues_hitchin_family(k):
     assert indicial_eigenvalues(cat["hitchin_E_pair"]) == (-(k + 2.0), 0.0)
 
 
+# each catalog entry at k = 2 as the literal [[p, q], [q, p]] it stands for
+_LITERAL_INDICIAL = {
+    "s4_A_pair": (-0.5, 1.5),
+    "s4_F_pair": (-1.5, 1.5),
+    "cp2_B_pair": (-0.5, 1.5),
+    "s2xs2_A_pair": (-1.0, 2.0),
+    "hitchin_B_pair": (-1.0, 2.0),
+    "hitchin_E_pair": (-2.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LITERAL_INDICIAL))
+def test_indicial_input_is_a_plain_array(name):
+    p, q = _LITERAL_INDICIAL[name]
+    Q = np.array([[p, q], [q, p]])
+    entry = indicial_catalog(k=2)[name]
+    assert np.array_equal(Q, entry)
+    assert indicial_eigenvalues(Q) == indicial_eigenvalues(entry)
+    ts = np.geomspace(1e-3, 0.1, 30)
+    for order in indicial_eigenvalues(Q):
+        X = np.column_stack([ts**order, -ts**order])
+        assert germ_decay_check(ts, X, Q) == germ_decay_check(ts, X, entry)
+        assert germ_decay_check(ts, X, Q).passed
+
+
 def test_decay_check_certifies_identically_zero():
     # Kaehler closed form: the designated pair vanishes identically
     prof = oracle("fs_so3", lam=3.0)

@@ -10,8 +10,9 @@ from c1einstein import cli
 from c1einstein.cli import (CSV_HEADER, ConfigError, EXIT_CHECK_FAILURE,
                             EXIT_NONCONVERGENCE, EXIT_PASS, EXIT_USAGE, emit,
                             load_config, run)
-from c1einstein.presets import initial_guess
-from c1einstein.shooting import NonConvergence
+from c1einstein.germs import get_diagram
+from c1einstein.presets import initial_guess, scan_box
+from c1einstein.shooting import NonConvergence, ShootingProblem, scan
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +196,22 @@ def test_scan_command(tmp_path, capsys):
     lines = (tmp_path / "o" / "scan.csv").read_text().splitlines()
     assert lines[0] == "L.da,L.db,R.da,R.db,T,residual"
     assert len(lines) == 1 + 2 ** 5
+
+
+@pytest.mark.parametrize("case_id", ["su2_s4", "so3_s2xs2"])
+def test_scan_csv_holds_the_scan_bit_for_bit(tmp_path, capsys, case_id):
+    # so3_s2xs2's guess has a zero entry, whose axis runs through 0.0
+    cfg = tmp_path / "cfg"
+    cfg.write_text("scan_width = 0.05\nscan_points = 2\n")
+    code = run(["scan", "--diagram", case_id, "--config", str(cfg),
+                "--out", str(tmp_path / "o")])
+    assert code == EXIT_PASS
+    path = tmp_path / "o" / "scan.csv"
+    pr = ShootingProblem(get_diagram(case_id))
+    assert path.read_text().splitlines()[0] == ",".join(pr.unknown_names) + ",residual"
+    want = np.array([[*u, r] for u, r in scan(pr, scan_box(case_id, width=0.05, n=2))])
+    got = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("points", [0, 1])

@@ -332,7 +332,7 @@ def test_drift_report_on_closed_form():
 
 def test_drift_report_rejects_empty():
     traj = Trajectory(np.empty(0), np.empty((0, 6)), np.empty((0, 6)),
-                      3.0, "step_failure", 0, 0)
+                      3.0, "step_failure", 0)
     with pytest.raises(ValueError):
         drift_report(traj)
 

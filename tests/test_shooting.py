@@ -364,6 +364,22 @@ def test_shot_rebuilds_only_the_sides_whose_inputs_change():
     assert np.array_equal(shooting.shoot(pr, u, base=rejected).residual, base.residual)
 
 
+@pytest.mark.parametrize("change", [dict(lam=0.3), dict(rtol=1e-8), dict(germ_order=10)])
+def test_a_base_of_another_problem_lends_no_side(change):
+    # the side cache is keyed by the problem too: a shot whose base was shot
+    # under other lam, tolerances or germ order builds its own sides
+    pr = _problem("so3_s4")
+    u = initial_guess("so3_s4")
+    other = dataclasses.replace(pr, **change)
+    lent = shooting.shoot(other, u, base=shooting.shoot(pr, u))
+    fresh = shooting.shoot(other, u)
+    assert np.array_equal(lent.residual, fresh.residual)
+    for germ, ref in zip(lent.germs, fresh.germs):
+        assert np.array_equal(germ.coeffs, ref.coeffs)
+    for leg, ref in zip(lent.legs, fresh.legs):
+        _assert_same_leg(leg, ref)
+
+
 def test_reused_leg_keeps_its_stop_reason():
     # the legs collapse before the match point, so the residual is the
     # shortfall penalty; a reused leg must give the same penalty
