@@ -139,7 +139,7 @@ def _given(cfg, **keys):
 
 
 def _problem(args, cfg):
-    kw = {key: cfg[key] for key in ("theta", "germ_order", "rtol", "atol") if key in cfg}
+    kw = _given(cfg, theta="theta", germ_order="germ_order", rtol="rtol", atol="atol")
     return ShootingProblem(get_diagram(args.diagram, args.k), **kw)
 
 

@@ -164,17 +164,16 @@ def gap_rhs(g: GapState, coeffs) -> GapState:
     Role "F" evolves (F2, F3) = (a1-a2, a1-a3) with the A coefficients:
         F2' = (A1-A2) F3 - (A1+2A3) F2,   F3' = (A1-A3) F2 - (A1+2A2) F3.
     Role "E" evolves (E1, E3) = (b2-b1, b2-b3) with the B coefficients:
-        E1' = (B2-B1) E3 - (B2+2B3) E1,   E3' = (B2-B3) E1 - (2B1+B2) E3.
+        E1' = (B2-B1) E3 - (B2+2B3) E1,   E3' = (B2-B3) E1 - (2B1+B2) E3,
+    which is role "F"'s law with the first two coefficients swapped.
     """
     c0, c1, c2 = coeffs
-    if g.role == "F":
-        d1 = (c0 - c1) * g.g2 - (c0 + 2.0 * c2) * g.g1
-        d2 = (c0 - c2) * g.g1 - (c0 + 2.0 * c1) * g.g2
-    elif g.role == "E":
-        d1 = (c1 - c0) * g.g2 - (c1 + 2.0 * c2) * g.g1
-        d2 = (c1 - c2) * g.g1 - (2.0 * c0 + c1) * g.g2
-    else:
+    if g.role == "E":
+        c0, c1 = c1, c0
+    elif g.role != "F":
         raise ValueError(f"unknown gap role {g.role!r}")
+    d1 = (c0 - c1) * g.g2 - (c0 + 2.0 * c2) * g.g1
+    d2 = (c0 - c2) * g.g1 - (c0 + 2.0 * c1) * g.g2
     return GapState(float(d1), float(d2), g.role)
 
 
@@ -185,14 +184,12 @@ def uij_residual(f, df, ddf):
         u_ij'' + S u_ij' - 4 (f_i^2 - f_j^2)(f_i^2 + f_j^2 - f_k^2) / (f1 f2 f3)^2.
 
     Zero along Einstein solutions."""
-    f = _check_positive(f)
-    df = np.asarray(df, dtype=float)
+    L, _, S = lr_from_frame(f, df)
+    f = np.asarray(f, dtype=float)
     ddf = np.asarray(ddf, dtype=float)
-    L = df / f
-    S = np.sum(L, axis=-1)[..., None]
     # u_i'' relative to a fixed reference: d/dt(L_i) = f_i''/f_i - L_i^2
     dL = ddf / f - L**2
     f2 = f**2
     f2j = f2[..., J]
     src = 4.0 * (f2 - f2j) * (f2 + f2j - f2[..., K]) / np.prod(f2, axis=-1)[..., None]
-    return dL - dL[..., J] + S * (L - L[..., J]) - src
+    return dL - dL[..., J] + S[..., None] * (L - L[..., J]) - src

@@ -114,38 +114,33 @@ def _orbifold(a, b, c, k):
     return EndCondition("orbifold", (a,), 4.0 / k, (b, c), ("q", "w"), k=k, fixes="beta")
 
 
-def _build_catalog():
-    cat = {
-        "su2_s4": GroupDiagram(
-            "su2_s4", _fixed_point(), _fixed_point(), TWO_PI2, chi_tau=(2, 0)
-        ),
-        "so3_s4": GroupDiagram(
-            "so3_s4", _mirror(0, 1, 2), _mirror(1, 2, 0), np.pi**2 / 4.0, chi_tau=(2, 0)
-        ),
-        # the circle end is conic here; on su2_cp2bar q is only a circle radius
-        "su2_cp2": GroupDiagram(
-            "su2_cp2", _fixed_point(), replace(_circle(2, 0, 1), fixes="beta"),
-            TWO_PI2, chi_tau=(3, 1)
-        ),
-        # the conic end is a mirror end whose pair value h fixes beta; delta
-        # belongs to the two-sphere pairing of the product diagram only
-        "so3_cp2": GroupDiagram(
-            "so3_cp2", replace(_even_pair(0, 1, 2), fixes=None),
-            replace(_mirror(2, 0, 1), fixes="beta"), np.pi**2 / 2.0, chi_tau=(3, 1)
-        ),
-        "su2_cp2bar": GroupDiagram(
-            "su2_cp2bar", _circle(0, 1, 2), _circle(0, 1, 2), TWO_PI2, chi_tau=(4, 0)
-        ),
-        # the Kaehler test reads the A pair on the product, the B pair elsewhere
-        "so3_s2xs2": GroupDiagram(
-            "so3_s2xs2", _even_pair(2, 0, 1), _even_pair(0, 1, 2), np.pi**2,
-            chi_tau=(4, 0), kahler_pair=("A", 1, 2)
-        ),
-    }
-    return cat
-
-
-_CATALOG = _build_catalog()
+_CATALOG = {
+    "su2_s4": GroupDiagram(
+        "su2_s4", _fixed_point(), _fixed_point(), TWO_PI2, chi_tau=(2, 0)
+    ),
+    "so3_s4": GroupDiagram(
+        "so3_s4", _mirror(0, 1, 2), _mirror(1, 2, 0), np.pi**2 / 4.0, chi_tau=(2, 0)
+    ),
+    # the circle end is conic here; on su2_cp2bar q is only a circle radius
+    "su2_cp2": GroupDiagram(
+        "su2_cp2", _fixed_point(), replace(_circle(2, 0, 1), fixes="beta"),
+        TWO_PI2, chi_tau=(3, 1)
+    ),
+    # the conic end is a mirror end whose pair value h fixes beta; delta
+    # belongs to the two-sphere pairing of the product diagram only
+    "so3_cp2": GroupDiagram(
+        "so3_cp2", replace(_even_pair(0, 1, 2), fixes=None),
+        replace(_mirror(2, 0, 1), fixes="beta"), np.pi**2 / 2.0, chi_tau=(3, 1)
+    ),
+    "su2_cp2bar": GroupDiagram(
+        "su2_cp2bar", _circle(0, 1, 2), _circle(0, 1, 2), TWO_PI2, chi_tau=(4, 0)
+    ),
+    # the Kaehler test reads the A pair on the product, the B pair elsewhere
+    "so3_s2xs2": GroupDiagram(
+        "so3_s2xs2", _even_pair(2, 0, 1), _even_pair(0, 1, 2), np.pi**2,
+        chi_tau=(4, 0), kahler_pair=("A", 1, 2)
+    ),
+}
 DIAGRAM_IDS = tuple(_CATALOG) + ("so3_hitchin",)
 
 
@@ -466,6 +461,7 @@ def germ_start_offset(germ: SeriesGerm):
     and GermConstructionError is raised otherwise.  It is raised too when the
     germ leaves f > 0 at a grid offset tried before one meets the target.
     """
+    # resolved at call time, so a tracer or counter that replaces it counts these calls
     from .core import frame_rhs
 
     eps_grid = _RADIUS * np.logspace(-0.5, -3.0, 26)

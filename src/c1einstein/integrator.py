@@ -136,14 +136,13 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
         n, h, err_prev, n_rej = leg.resume
         ts, ys, dys = leg.t[:n].tolist(), leg.y[:n].tolist(), leg.dy[:n].tolist()
     t, y = ts[-1], ys[-1]
-    n_acc = len(ts) - 1
     resume = None
     reason = "step_failure"
     K = np.empty((7, 6))
     K[0] = dys[-1]  # FSAL: the last accepted slope is every attempt's first stage
     stages = [(_A[i, :i], K[:i]) for i in range(1, 6)]
     b5, k6 = _B5[:6], K[:6]
-    while n_acc + n_rej < _MAX_STEPS:
+    while len(ts) - 1 + n_rej < _MAX_STEPS:
         if resume is None and t_target - t < h:
             resume = (len(ts), h, err_prev, n_rej)
         h = min(h, t_target - t)
@@ -168,7 +167,6 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             ts.append(t)
             ys.append(y)
             dys.append(k5)
-            n_acc += 1
             if min(y[:3]) <= _COLLAPSE_FLOOR:
                 reason = "collapse_event"
                 break
@@ -176,7 +174,7 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
                 reason = "blowup_event"
                 break
             if t >= t_target - 1e-14 * max(1.0, abs(t_target)):
-                resume = resume or (n_acc, h, err_prev, n_rej)
+                resume = resume or (len(ts) - 1, h, err_prev, n_rej)
                 reason = "reached_target"
                 break
             # PI controller; an exact step (err = 0, where the power would
@@ -201,6 +199,7 @@ def integrate_germ(germ, t_target, leg=None, **kw) -> Trajectory:
     """Integrate away from a singular orbit, handing off from the Taylor germ
     at the offset ``germs.germ_start_offset`` picks, or continue ``leg``, a
     leg of the same germ and options, as ``integrate_frame`` does."""
+    # resolved at call time, so a tracer or counter that replaces it is the one called
     from .germs import germ_start_offset
 
     if leg is not None:

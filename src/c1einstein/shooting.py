@@ -67,6 +67,10 @@ class ShootingProblem:
             raise ValueError(f"Einstein constant must be finite, got lam = {self.lam}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("match fraction theta must be in (0, 1)")
+        # the step error norm divides by atol + rtol |y|, which is 0 where y is 0 unless atol > 0
+        if not (0.0 <= self.rtol < np.inf and 0.0 < self.atol < np.inf):
+            raise ValueError("tolerances must be finite with rtol >= 0 and atol > 0, "
+                             f"got rtol = {self.rtol}, atol = {self.atol}")
         n_unknowns = len(self.diagram.left.free) + len(self.diagram.right.free) + 1
         # 6 match conditions, one made dependent by the first integral
         if n_unknowns != 5:
@@ -101,6 +105,7 @@ class ShootingProblem:
                     raise AdmissibilityError(
                         f"{side} germ parameter {name} = {vals[name]} must be positive"
                     )
+        return left, right, T
 
 
 @dataclass(frozen=True)
@@ -172,19 +177,15 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
     shot is the same, bit for bit, as one built side by side.
     """
     sides = {} if base is None else base.sides
+    failures = {AdmissibilityError: "inadmissible", GermConstructionError: "germ",
+                HandoffError: "handoff"}
     try:
-        pr.check_admissible(u)
-    except AdmissibilityError:
-        return Shot((), (), np.full(6, _PENALTY), failure="inadmissible", sides=sides)
-    left, right, T = pr.split(u)
-    reach = (pr.theta * T, (1.0 - pr.theta) * T)
-    try:
+        left, right, T = pr.check_admissible(u)
+        reach = (pr.theta * T, (1.0 - pr.theta) * T)
         germs, legs = zip(*(_side(pr, sides, end, free, r) for end, free, r in
                             zip((pr.diagram.left, pr.diagram.right), (left, right), reach)))
-    except GermConstructionError:
-        return Shot((), (), np.full(6, _PENALTY), failure="germ", sides=sides)
-    except HandoffError:
-        return Shot((), (), np.full(6, _PENALTY), failure="handoff", sides=sides)
+    except tuple(failures) as exc:
+        return Shot((), (), np.full(6, _PENALTY), failure=failures[type(exc)], sides=sides)
     short = 0.0
     failure = None
     for traj, t_need in zip(legs, reach):
@@ -247,6 +248,8 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
     """Damped Gauss-Newton on the match residual with a forward-difference
     Jacobian.  Raises NonConvergence with the best iterate on failure.
     Logs each step's residual norm to the "c1einstein" logger at DEBUG."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     u = np.asarray(guess, dtype=float).copy()
     pr.check_admissible(u)
     shot = shoot(pr, u)

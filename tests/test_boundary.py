@@ -5,6 +5,8 @@ Frozen germ parameter values below come from the closed-form profiles
 rescaled to lambda = 3; see c1einstein.oracles.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,12 @@ def test_series_solve_validates_inputs():
         series_solve(end, {"h": 1.0, "nope": 0.0}, 3.0)
     with pytest.raises(ValueError):
         series_solve(end, {"h": 1.0, "c": 0.0}, 3.0, order=2)
+
+
+def test_series_solve_rejects_an_unknown_end_kind():
+    end = replace(get_diagram("so3_s4").left, kind="nope")
+    with pytest.raises(ValueError, match="unknown end kind 'nope'"):
+        series_solve(end, {"h": 1.0, "c": 0.0}, 3.0)
 
 
 def test_series_solve_rejects_non_finite_inputs():

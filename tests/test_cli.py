@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from c1einstein import cli
+from c1einstein import cli, shooting
 from c1einstein.cli import (CSV_HEADER, ConfigError, EXIT_CHECK_FAILURE,
                             EXIT_NONCONVERGENCE, EXIT_PASS, EXIT_USAGE, emit,
                             load_config, run)
@@ -296,3 +296,29 @@ def test_perturb_and_seed_reach_every_solving_command(tmp_path, monkeypatch, com
     shipped = initial_guess("so3_cp2")
     rng = np.random.default_rng(3)
     assert np.array_equal(guesses[0], shipped * (1.0 + 0.05 * rng.uniform(-1, 1, 5)))
+
+
+@pytest.mark.parametrize("command,config,shown", [
+    ("solve", "rtol = 0\natol = 0\n", "got rtol = 0.0, atol = 0.0"),
+    ("verify", "rtol = 0\natol = 0\n", "got rtol = 0.0, atol = 0.0"),
+    ("scan", "rtol = 0\natol = 0\n", "got rtol = 0.0, atol = 0.0"),
+    ("solve", "atol = 0\n", "atol = 0.0"),
+    ("solve", "rtol = nan\n", "got rtol = nan"),
+    ("solve", "atol = -1e-13\n", "atol = -1e-13"),
+    ("solve", "max_iter = -1\n", "max_iter must be at least 0, got -1"),
+])
+def test_a_config_that_breaks_the_solve_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                         command, config, shown):
+    # unchecked, rtol = atol = 0 ends in a ZeroDivisionError traceback and
+    # max_iter = -1 caps nothing; checked, the command stops before any shot
+    monkeypatch.setattr(shooting, "shoot", None)
+    cfg = tmp_path / "cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert run([command, "--diagram", "so3_s4", "--config", str(cfg),
+                "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("error: ") and shown in line
+    assert not out.exists()

@@ -276,6 +276,31 @@ def test_gap_rhs_rejects_unknown_role():
         core.gap_rhs(core.GapState(0.1, 0.2, "X"), np.zeros(3))
 
 
+def _gap_rhs_two_branch(g, coeffs):
+    """The gap law written as one branch per role, kept as the reference."""
+    c0, c1, c2 = coeffs
+    if g.role == "F":
+        d1 = (c0 - c1) * g.g2 - (c0 + 2.0 * c2) * g.g1
+        d2 = (c0 - c2) * g.g1 - (c0 + 2.0 * c1) * g.g2
+    else:
+        d1 = (c1 - c0) * g.g2 - (c1 + 2.0 * c2) * g.g1
+        d2 = (c1 - c2) * g.g1 - (2.0 * c0 + c1) * g.g2
+    return core.GapState(float(d1), float(d2), g.role)
+
+
+@pytest.mark.parametrize("role", ["F", "E"])
+def test_gap_rhs_keeps_the_two_branch_bits(role):
+    # the finite-difference test above checks the law only to a convergence
+    # slope; this pins its rounding, on signed magnitudes from 1e-8 to 1e8
+    rng = np.random.default_rng(2020)
+    draws = rng.choice([-1.0, 1.0], (20000, 5)) * 10.0 ** rng.uniform(-8.0, 8.0, (20000, 5))
+    for g1, g2, *coeffs in draws:
+        g = core.GapState(float(g1), float(g2), role)
+        got = core.gap_rhs(g, np.array(coeffs))
+        ref = _gap_rhs_two_branch(g, np.array(coeffs))
+        assert (got.g1.hex(), got.g2.hex()) == (ref.g1.hex(), ref.g2.hex()), (g, coeffs)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ recovery from perturbed guesses, admissibility, and solution reports.
 
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,38 @@ def test_lam_must_be_finite():
     for lam in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=f"got lam = {lam}"):
             _problem("su2_s4", lam=lam)
+
+
+@pytest.mark.parametrize("kw", [
+    {"rtol": 0.0, "atol": 0.0}, {"atol": 0.0}, {"atol": -1e-13}, {"rtol": -1e-11},
+    {"rtol": np.nan}, {"atol": np.nan}, {"rtol": np.inf}, {"atol": np.inf},
+])
+def test_tolerances_must_be_finite_with_a_positive_atol(kw):
+    # unchecked, rtol = atol = 0 divides by zero in the step error norm and
+    # rtol = nan fails every step
+    tol = {"rtol": 1e-11, "atol": 1e-13, **kw}
+    with pytest.raises(ValueError, match=re.escape(
+            f"got rtol = {tol['rtol']}, atol = {tol['atol']}")):
+        _problem("so3_s4", **kw)
+    # relative control alone is off, not broken: atol carries the step
+    assert _problem("so3_s4", rtol=0.0).rtol == 0.0
+
+
+def test_solve_rejects_a_negative_iteration_cap(monkeypatch):
+    # a negative cap would never equal the iteration count, so it would cap nothing
+    monkeypatch.setattr(shooting, "shoot", None)
+    with pytest.raises(ValueError, match="max_iter must be at least 0, got -1"):
+        solve(_problem("so3_s4"), initial_guess("so3_s4"), max_iter=-1)
+    monkeypatch.undo()
+    assert solve(_problem("so3_s4"), initial_guess("so3_s4"), max_iter=0).n_iter == 0
+
+
+def test_an_unknown_count_that_does_not_close_the_match_is_rejected():
+    d = get_diagram("so3_s4")
+    short = dataclasses.replace(d, left=dataclasses.replace(d.left, free=("h",)))
+    with pytest.raises(ValueError,
+                       match="unknown count 4 does not close the 6-condition match"):
+        ShootingProblem(short)
 
 
 def test_presets_reject_a_cone_order_the_diagram_lacks():
