@@ -10,8 +10,6 @@ beta = 3 * theta_k exactly.  k = 1 is the smooth quotient sphere.
 Run from the repository root:  python demos/hitchin_family.py
 """
 
-import numpy as np
-
 from c1einstein.diagnostics import (characteristic_numbers, eigen_gap_report,
                                     invariant_constants)
 from c1einstein.germs import get_diagram, series_solve

@@ -5,8 +5,6 @@ characteristic numbers chi and tau.
 Run from the repository root:  python demos/known_solutions.py
 """
 
-import numpy as np
-
 from c1einstein.diagnostics import characteristic_numbers, invariant_constants
 from c1einstein.germs import get_diagram
 from c1einstein.presets import initial_guess
@@ -25,4 +23,4 @@ for cid in CASES:
           f"{rep.chi:>7.4f} {rep.tau:>7.4f}  {pairs}")
 
 print("\nmax constraint drift across cases is reported per solve in sr.drift;")
-print("all shipped guesses converge in at most a couple of Gauss-Newton steps.")
+print("every shipped guess converges at iteration 0, with no Gauss-Newton step.")

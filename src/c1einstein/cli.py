@@ -44,9 +44,9 @@ _CONFIG_KEYS = {
 }
 
 
-# Below order 6 a germ misses the default 1e-12 hand-off defect target at
-# shipped solutions by more than the rounding slack (least defects reach
-# 3.8e-11 at order 5 and 2.6e-9 at order 4), so its shots fail as "germ".
+# Below order 6 a shipped germ misses the 1e-11 hand-off defect target (at
+# order 5 the least defects are 3.8e-11 on Page and 3.3e-11 on Hitchin k = 3),
+# so its shots fail as "germ".
 _MIN_GERM_ORDER = 6
 
 

@@ -441,31 +441,21 @@ def series_solve(end: EndCondition, free, lam, order=8) -> SeriesGerm:
     return SeriesGerm(lam, order, coeffs)
 
 
-# relative equation defect a germ must reach at its hand-off offset
-_DEFECT_TARGET = 1e-12
-# The relative defect of an order-8 circle-end germ (su2_cp2, su2_cp2bar)
-# bottoms out at 2-5e-12 of rounding below offset 0.02, so it can miss
-# the 1e-12 target by the noise alone; a miss within this factor is that
-# floor, not a germ too short for the target.
-_DEFECT_SLACK = 10.0
+# relative equation defect a germ must reach at its hand-off offset; it lies
+# above the 2-5e-12 rounding floor of an order-8 circle-end germ
+_DEFECT_TARGET = 1e-11
 
 
 def germ_start_offset(germ: SeriesGerm):
-    """Largest handoff offset at which the truncated germ still satisfies the
-    second-order system to ``_DEFECT_TARGET``.
-
-    Compares the germ's own second derivative against the right-hand side
-    evaluated on (f, df) over a log-spaced grid and picks the largest offset
-    below the defect target.  When none is below it, the offset of least
-    defect is taken if that defect is within ``_DEFECT_SLACK`` of the target,
-    and GermConstructionError is raised otherwise.  It is raised too when the
-    germ leaves f > 0 at a grid offset tried before one meets the target.
+    """Largest offset on a log-spaced grid at which the germ's own second
+    derivative matches the right-hand side on (f, df) to a relative defect
+    below ``_DEFECT_TARGET``.  GermConstructionError is raised when no offset
+    does, or when the germ leaves f > 0 at an offset tried before one does.
     """
     # resolved at call time, so a tracer or counter that replaces it counts these calls
     from .core import frame_rhs
 
     eps_grid = _RADIUS * np.logspace(-0.5, -3.0, 26)
-    best, best_defect = eps_grid[-1], np.inf
     for eps in eps_grid:
         f, df = germ.eval(eps)
         try:
@@ -480,14 +470,9 @@ def germ_start_offset(germ: SeriesGerm):
         defect = np.max(np.abs(rhs - germ.eval_second(eps))) / (1.0 + np.max(np.abs(rhs)))
         if defect < _DEFECT_TARGET:
             return float(eps)
-        if defect < best_defect:
-            best, best_defect = eps, defect
-    if best_defect < _DEFECT_SLACK * _DEFECT_TARGET:
-        return float(best)
     raise GermConstructionError(
         f"no hand-off offset down to {eps_grid[-1]:.3g} meets the defect target "
-        f"{_DEFECT_TARGET:.3g}; the least defect is {best_defect:.3g}"
-    )
+        f"{_DEFECT_TARGET:.3g}")
 
 
 # --------------------------------------------------------------------------

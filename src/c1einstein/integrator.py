@@ -18,7 +18,8 @@ import numpy as np
 
 from . import core
 
-__all__ = ["Trajectory", "HandoffError", "integrate_frame", "integrate_germ", "drift_report"]
+__all__ = ["Trajectory", "HandoffError", "check_tolerances", "integrate_frame",
+           "integrate_germ", "drift_report"]
 
 # Dormand-Prince 5(4) tableau
 _A = np.array([
@@ -109,6 +110,14 @@ def rhs_vector(y, lam):
     return [*y[3:], *core.frame_rhs(y[:3], y[3:], lam).tolist()]
 
 
+def check_tolerances(rtol, atol):
+    """ValueError unless rtol >= 0 and atol > 0 are finite: the step error
+    norm divides by atol + rtol |y|, which is 0 where y is 0 unless atol > 0."""
+    if not (0.0 <= rtol < np.inf and 0.0 < atol < np.inf):
+        raise ValueError("tolerances must be finite with rtol >= 0 and atol > 0, "
+                         f"got rtol = {rtol}, atol = {atol}")
+
+
 def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
                     blowup_ceiling=1e6, leg=None) -> Trajectory:
     """Integrate the frame system forward from (f0, df0) at t0 to t_target,
@@ -123,6 +132,7 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
     packs its slope inline as ``rhs_vector`` does."""
     if t_target <= t0:
         raise ValueError("t_target must exceed t0")
+    check_tolerances(rtol, atol)
     rhs = core.frame_rhs
     if leg is None:
         y = [*map(float, f0), *map(float, df0)]

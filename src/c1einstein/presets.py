@@ -1,9 +1,9 @@
 """Shipped initial guesses for the shooting unknowns, all in the lambda = 3
 gauge.  Vectors are ordered (left free params, right free params, T) as in
 ShootingProblem.unknown_names.  Values for the symmetric-space cases come
-from the closed forms; the Page values were located by a symmetric-midpoint
+from the closed forms; the Page q and T were located by a symmetric-midpoint
 search and the Hitchin k = 3 values by a self-dual reduction, each polished
-by the full solver.
+by the full solver, and Page's d4 follows from its q.
 """
 
 import numpy as np
@@ -22,9 +22,12 @@ _GUESSES = {
     ("su2_cp2", 0): [-1 / 12, -1 / 12, _S2, _S2 / 96, np.pi * _S2 / 2],
     ("so3_cp2", 0): [2 * _S2, -2 * _S2, 2.0, -_S2, np.pi * _S2 / 4],
     ("so3_s2xs2", 0): [2 * _S2 / _S3, 0.0, 2 * _S2 / _S3, -1.5 * _S2 / _S3, np.pi / np.sqrt(6.0)],
-    # Page: symmetric circle ends, f2 = f3; located by midpoint search
-    ("su2_cp2bar", 0): [1.0702954240429317, -0.14024643696868358,
-                        1.0702954240429317, -0.14024643696868358,
+    # Page: symmetric circle ends, q and T located by midpoint search.  Its
+    # U(2) symmetry gives f2 = f3, so the t^4 order of f2's residual P fixes d4:
+    # 8 d4 q^3 = -(6 a3 e2 q^3 + a3 lam q^4 - 4 a3 q^2 + 8 e2^2 q^2 + 2 e2 lam q^3
+    #              - 4 e2 q + 1), e2 = (4 - lam q^2) / (4 q), a3 = -(4 e2 + lam q) / (6 q)
+    ("su2_cp2bar", 0): [1.0702954240429317, -0.14024643484936936,
+                        1.0702954240429317, -0.14024643484936936,
                         1.8851559942615306],
     ("so3_hitchin", 2): [2.0, -_S2, 2 * _S2, 0.75 * _S2, np.pi * _S2 / 4],
     # k = 3: end data located by a self-dual reduction and polished to the

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .germs import GermConstructionError, GroupDiagram, series_solve
-from .integrator import HandoffError, Trajectory, drift_report, integrate_germ
+from .integrator import HandoffError, Trajectory, check_tolerances, drift_report, integrate_germ
 
 __all__ = [
     "ShootingProblem",
@@ -67,10 +67,7 @@ class ShootingProblem:
             raise ValueError(f"Einstein constant must be finite, got lam = {self.lam}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("match fraction theta must be in (0, 1)")
-        # the step error norm divides by atol + rtol |y|, which is 0 where y is 0 unless atol > 0
-        if not (0.0 <= self.rtol < np.inf and 0.0 < self.atol < np.inf):
-            raise ValueError("tolerances must be finite with rtol >= 0 and atol > 0, "
-                             f"got rtol = {self.rtol}, atol = {self.atol}")
+        check_tolerances(self.rtol, self.atol)
         n_unknowns = len(self.diagram.left.free) + len(self.diagram.right.free) + 1
         # 6 match conditions, one made dependent by the first integral
         if n_unknowns != 5:
@@ -250,6 +247,8 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
     Logs each step's residual norm to the "c1einstein" logger at DEBUG."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got tol = {tol}")
     u = np.asarray(guess, dtype=float).copy()
     pr.check_admissible(u)
     shot = shoot(pr, u)

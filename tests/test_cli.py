@@ -322,3 +322,18 @@ def test_a_config_that_breaks_the_solve_is_a_usage_error(tmp_path, capsys, monke
     line, = captured.err.splitlines()
     assert line.startswith("error: ") and shown in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value,shown", [("0", "0.0"), ("nan", "nan"), ("-1e-9", "-1e-09")])
+def test_a_solver_tol_no_norm_can_pass_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                         value, shown):
+    # unchecked, solver_tol = 0 works the solve about a second and exits 2
+    monkeypatch.setattr(shooting, "shoot", None)
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"solver_tol = {value}\n")
+    out = tmp_path / "o"
+    assert run(["solve", "--diagram", "so3_s4", "--config", str(cfg),
+                "--out", str(out)]) == EXIT_USAGE
+    line, = capsys.readouterr().err.splitlines()
+    assert line == f"error: tol must be positive and finite, got tol = {shown}"
+    assert not out.exists()

@@ -277,6 +277,18 @@ def test_tolerance_scaling():
     assert errs[2] < 1e-9
 
 
+@pytest.mark.parametrize("kw,shown", [({"atol": 0.0}, "atol = 0.0"),
+                                      ({"rtol": np.nan}, "got rtol = nan")])
+def test_integrate_frame_rejects_a_tolerance_the_error_norm_cannot_use(kw, shown):
+    # unchecked, atol = 0 at a static point divides by zero in the step error
+    # norm and rtol = nan fails every step
+    with pytest.raises(ValueError, match=f"tolerances must be finite .*{shown}"):
+        integrate_frame([2, 2, 2], [0, 0, 0], 0, 1, 0.5, **kw)
+    germ = series_solve(get_diagram("su2_s4").left, {"da": -1 / 6, "db": -1 / 6}, 3.0)
+    with pytest.raises(ValueError, match=f"tolerances must be finite .*{shown}"):
+        integrate_germ(germ, 1.0, **kw)
+
+
 def test_step_counts_respond_to_tolerance():
     _, loose = _round_traj(rtol=1e-6, atol=1e-8)
     _, tight = _round_traj(rtol=1e-12, atol=1e-14)

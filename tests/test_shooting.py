@@ -78,6 +78,14 @@ def test_solve_rejects_a_negative_iteration_cap(monkeypatch):
     assert solve(_problem("so3_s4"), initial_guess("so3_s4"), max_iter=0).n_iter == 0
 
 
+@pytest.mark.parametrize("tol", [0.0, np.nan, -1e-9])
+def test_solve_rejects_a_tolerance_no_norm_can_pass(monkeypatch, tol):
+    # a norm is never below 0, a negative tol or NaN: the solve would only stall
+    monkeypatch.setattr(shooting, "shoot", None)
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got tol = {tol}"):
+        solve(_problem("so3_s4"), initial_guess("so3_s4"), tol=tol)
+
+
 def test_an_unknown_count_that_does_not_close_the_match_is_rejected():
     d = get_diagram("so3_s4")
     short = dataclasses.replace(d, left=dataclasses.replace(d.left, free=("h",)))
@@ -120,7 +128,7 @@ def test_failed_shots_say_why():
     # the germ hands off further out than the match point
     short = shooting.shoot(pr, [-1 / 6] * 4 + [0.01])
     assert short.failure == "handoff" and np.all(short.residual == 1e3)
-    # no hand-off offset of a 4th-order germ meets the 1e-12 defect target
+    # no hand-off offset of a 4th-order germ meets the 1e-11 defect target
     missed = ShootingProblem(get_diagram("su2_s4"), germ_order=4)
     assert shooting.shoot(missed, exact).failure == "germ"
     # an admissible mirror end whose f = h - c t + ... is not positive at
@@ -131,7 +139,7 @@ def test_failed_shots_say_why():
 
 
 def test_solve_names_the_failure_it_stalls_on():
-    # an order-5 Page germ misses the 1e-12 defect target beyond the slack
+    # no hand-off offset of an order-5 Page germ meets the 1e-11 defect target
     pr = ShootingProblem(get_diagram("su2_cp2bar"), germ_order=5)
     with pytest.raises(NonConvergence, match=r"1\.000e\+03 \(shot failure: germ\)") as exc:
         solve(pr, initial_guess("su2_cp2bar"))
@@ -529,22 +537,22 @@ def test_a_shots_legs_are_read_only():
         leg.reason = "collapse_event"
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(1, 21))
 def test_page_metric_closes_from_a_tiny_perturbation(seed):
-    # the shipped Page guess passes at iteration 0 by a margin that rounding
-    # could erase; from 1e-8 away Gauss-Newton itself must close it
+    # from 1e-8 away Gauss-Newton itself must close Page, within 1e-8 of
+    # the shipped root
     pr = _problem("su2_cp2bar")
     g = initial_guess("su2_cp2bar")
     guess = g * (1 + 1e-8 * np.random.default_rng(seed).uniform(-1, 1, g.size))
     sr = solve(pr, guess)
     assert sr.converged and sr.residual_norm < 1e-9
     assert sr.n_iter >= 1
-    assert np.max(np.abs(sr.u - g)) < 1e-7
+    assert np.max(np.abs(sr.u - g)) < 1e-8
 
 
 def test_round_solution_profile(solutions):
     sr = solutions("su2_s4")
-    ts = np.linspace(0.05, sr.T - 0.05, 50)
+    ts = np.linspace(sr.trajectory.t[0], sr.trajectory.t[-1], 50)
     f, _ = sr.trajectory.eval(ts)
     assert np.max(np.abs(f - np.sin(ts)[:, None])) < 1e-8
 
