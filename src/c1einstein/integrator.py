@@ -21,18 +21,16 @@ from . import core
 __all__ = ["Trajectory", "HandoffError", "check_tolerances", "integrate_frame",
            "integrate_germ", "drift_report"]
 
-# Dormand-Prince 5(4) tableau
-_A = np.array([
-    [0, 0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-])
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_ERR = _B5 - _B4
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5): the stage rows, the 5th-order weights and the error weights b5 - b4
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_ERR = tuple(b5 - b4 for b5, b4 in zip((*_B5, 0.0), (
+    5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)))
 
 # a leg stops as a collapse at the first accepted step with some f_i at or
 # below _COLLAPSE_FLOOR, and gives up as a step failure after _MAX_STEPS
@@ -125,11 +123,11 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
     target, from ``leg.resume``: no sample before it depends on the target, so
     the result is a fresh run's, bit for bit.
 
-    The state, time, step size and error norm are Python floats, but each
-    tableau sum stays one ``np.dot`` on views of the (7, 6) stage array made
-    once per call: OpenBLAS's gemv kernel rounds otherwise than a Python
-    sum.  ``core.frame_rhs`` is looked up once per call, and each stage
-    packs its slope inline as ``rhs_vector`` does."""
+    The state, stages, time, step size and error norm are Python floats, and
+    each tableau sum is written out, its terms added left to right in stage
+    order, so a leg has the same bits on every CPU.  ``core.frame_rhs`` is
+    looked up once per call, and each stage packs its slope inline as
+    ``rhs_vector`` does."""
     if t_target <= t0:
         raise ValueError("t_target must exceed t0")
     check_tolerances(rtol, atol)
@@ -146,37 +144,47 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
         n, h, err_prev, n_rej = leg.resume
         ts, ys, dys = leg.t[:n].tolist(), leg.y[:n].tolist(), leg.dy[:n].tolist()
     t, y = ts[-1], ys[-1]
+    k1 = dys[-1]  # FSAL: the last accepted slope is every attempt's first stage
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
+    b1, _, b3, b4, b5, b6 = _B5
+    e1, _, e3, e4, e5, e6, e7 = _ERR
     resume = None
     reason = "step_failure"
-    K = np.empty((7, 6))
-    K[0] = dys[-1]  # FSAL: the last accepted slope is every attempt's first stage
-    stages = [(_A[i, :i], K[:i]) for i in range(1, 6)]
-    b5, k6 = _B5[:6], K[:6]
     while len(ts) - 1 + n_rej < _MAX_STEPS:
         if resume is None and t_target - t < h:
             resume = (len(ts), h, err_prev, n_rej)
         h = min(h, t_target - t)
         try:
-            for i, (row, prev) in enumerate(stages, 1):
-                z = [a + h * b for a, b in zip(y, np.dot(row, prev).tolist())]
-                K[i] = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
-            y5 = [a + h * b for a, b in zip(y, np.dot(b5, k6).tolist())]
-            K[6] = k5 = [*y5[3:], *rhs(y5[:3], y5[3:], lam).tolist()]
+            z = [a + h * (a21 * p) for a, p in zip(y, k1)]
+            k2 = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
+            z = [a + h * (a31 * p + a32 * q) for a, p, q in zip(y, k1, k2)]
+            k3 = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
+            z = [a + h * (a41 * p + a42 * q + a43 * r) for a, p, q, r in zip(y, k1, k2, k3)]
+            k4 = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
+            z = [a + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+                 for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+            k5 = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
+            z = [a + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * v)
+                 for a, p, q, r, s, v in zip(y, k1, k2, k3, k4, k5)]
+            k6 = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
+            y5 = [a + h * (b1 * p + b3 * r + b4 * s + b5 * v + b6 * w)
+                  for a, p, r, s, v, w in zip(y, k1, k3, k4, k5, k6)]
+            k7 = [*y5[3:], *rhs(y5[:3], y5[3:], lam).tolist()]
         except core.NonPositiveProfile:
             err = None  # stepped over a collapse: rejected, retried at h / 4
         else:
             # numpy's norm in its order; y5[i] is NaN where y[i] is, as np.maximum needs
             err = 0.0
-            for e, a, b in zip(np.dot(_ERR, K).tolist(), map(abs, y), map(abs, y5)):
-                q = h * e / (atol + rtol * (a if a > b else b))
-                err += q * q
+            for p, r, s, v, w, x, a, b in zip(k1, k3, k4, k5, k6, k7, map(abs, y), map(abs, y5)):
+                d = (h * (e1 * p + e3 * r + e4 * s + e5 * v + e6 * w + e7 * x)
+                     / (atol + rtol * (a if a > b else b)))
+                err += d * d
             err = math.sqrt(err / 6)
         if err is not None and err <= 1.0:
-            t, y = t + h, y5
-            K[0] = K[6]
+            t, y, k1 = t + h, y5, k7
             ts.append(t)
             ys.append(y)
-            dys.append(k5)
+            dys.append(k1)
             if min(y[:3]) <= _COLLAPSE_FLOOR:
                 reason = "collapse_event"
                 break

@@ -44,11 +44,11 @@ def test_load_config_malformed_line(tmp_path):
 
 def test_load_config_rejects_a_germ_order_short_of_the_defect_target(tmp_path):
     p = tmp_path / "cfg"
-    p.write_text("rtol = 1e-9\ngerm_order = 5\n")
-    with pytest.raises(ConfigError, match=r":2: germ_order must be at least 6"):
+    p.write_text("rtol = 1e-9\ngerm_order = 6\n")
+    with pytest.raises(ConfigError, match=r":2: germ_order must be at least 7"):
         load_config(p)
-    p.write_text("germ_order = 6\n")
-    assert load_config(p) == {"germ_order": 6}
+    p.write_text("germ_order = 7\n")
+    assert load_config(p) == {"germ_order": 7}
 
 
 # ---------------------------------------------------------------------------

@@ -550,6 +550,33 @@ def test_page_metric_closes_from_a_tiny_perturbation(seed):
     assert np.max(np.abs(sr.u - g)) < 1e-8
 
 
+def test_page_reference_residual_at_the_shipped_guess():
+    # each leg again at 30 digits (mpmath's Taylor method through the frame
+    # system on mpf values) from the float shot's hand-off state: the
+    # shipped guess is the Page root to well below solve's tol, and the
+    # float legs meet the match point within 1e-12 of the reference
+    mpmath = pytest.importorskip("mpmath")
+    pr = _problem("su2_cp2bar")
+    shot = shooting.shoot(pr, initial_guess("su2_cp2bar"))
+    ends = {}  # by leg: a mirror shot's two sides share one
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(pr.lam)
+        for leg, reach in zip(shot.legs, shot.reach):
+            if id(leg) not in ends:
+                ref = mpmath.odefun(lambda t, y: [*y[3:], *core._frame_rhs(*y, lam)],
+                                    mpmath.mpf(leg.t[0]), [mpmath.mpf(v) for v in leg.y[0]],
+                                    tol=mpmath.mpf("1e-25"), degree=30)
+                ends[id(leg)] = ref(mpmath.mpf(reach))
+            f, df = leg.eval(reach)
+            err = [mpmath.mpf(v) - w for v, w in zip([*f[0], *df[0]], ends[id(leg)])]
+            assert max(map(abs, err)) <= 1e-12
+        left, right = (ends[id(leg)] for leg in shot.legs)
+        # opposite orientations: f differences, f' sums
+        r = [*(a - b for a, b in zip(left[:3], right[:3])),
+             *(a + b for a, b in zip(left[3:], right[3:]))]
+        assert mpmath.norm(r) <= 1e-11
+
+
 def test_round_solution_profile(solutions):
     sr = solutions("su2_s4")
     ts = np.linspace(sr.trajectory.t[0], sr.trajectory.t[-1], 50)
