@@ -3,12 +3,12 @@ Einstein metrics g = dt^2 + sum_i f_i(t)^2 sigma_i^2 with dsigma_i = -2 sigma_j 
 
 Triple-valued quantities are numpy arrays of shape (..., 3), indexed
 cyclically along the last axis: for index i the companions are j = J[i] =
-(i+1) % 3 and k = K[i] = (i+2) % 3.  Every function except frame_rhs takes a
-single triple or a batch with any leading shape, and a batch gives exactly
-the row-by-row results.  frame_rhs, the integrator's hot path, takes one
-triple and evaluates it on scalars.  Profiles are coerced and checked where
-they enter; derived triples (L, R, A, B, a, b) arrive as arrays.  Every
-function here is pure; nothing is mutated.
+(i+1) % 3 and k = K[i] = (i+2) % 3.  Each function takes a single triple or
+a batch with any leading shape, a batch giving exactly the row-by-row
+results, except the integrator's hot path frame_slope (one state as six
+Python floats) and its array form frame_rhs (one triple).  Profiles are
+coerced and checked where they enter; derived triples (L, R, A, B, a, b)
+arrive as arrays.  Every function here is pure; nothing is mutated.
 """
 
 from dataclasses import dataclass
@@ -20,6 +20,7 @@ __all__ = [
     "GapState",
     "lr_from_frame",
     "lr_rhs",
+    "frame_slope",
     "frame_rhs",
     "constraint_residual",
     "ab_coeffs",
@@ -79,32 +80,31 @@ def lr_rhs(L, R, lam):
 
 
 def _frame_rhs(f1, f2, f3, d1, d2, d3, lam):
-    # lr_from_frame and lr_rhs unrolled over one triple, in their operation order
+    # lr_from_frame and lr_rhs unrolled over one state, in their operation order
     L1, L2, L3 = d1 / f1, d2 / f2, d3 / f3
     R1, R2, R3 = f1 / (f2 * f3), f2 / (f3 * f1), f3 / (f1 * f2)
     S = L1 + L2 + L3
     e1, e2, e3 = R2 - R3, R3 - R1, R1 - R2
-    return (f1 * (-S * L1 + 2.0 * (R1 * R1) - 2.0 * (e1 * e1) - lam + L1 * L1),
+    return (d1, d2, d3, f1 * (-S * L1 + 2.0 * (R1 * R1) - 2.0 * (e1 * e1) - lam + L1 * L1),
             f2 * (-S * L2 + 2.0 * (R2 * R2) - 2.0 * (e2 * e2) - lam + L2 * L2),
             f3 * (-S * L3 + 2.0 * (R3 * R3) - 2.0 * (e3 * e3) - lam + L3 * L3))
 
 
-def frame_rhs(f, df, lam):
-    """Second derivatives f_i'' = f_i (L_i' + L_i^2) of one triple; the
-    integrator's native form.
-
-    Evaluated on Python floats, which for a single triple is more than ten
-    times cheaper than the array form and gives the same bits.  Where f_j f_k
-    underflows to zero Python would raise ZeroDivisionError, so that case is
-    redone on np.float64 scalars to give numpy's inf/nan."""
-    f1, f2, f3 = f = [*map(float, f)]
-    d1, d2, d3 = map(float, df)
+def frame_slope(f1, f2, f3, d1, d2, d3, lam):
+    """Slope (f', f'') of one state (f, f'), six Python floats, as six floats; an
+    f_j f_k that underflows to 0 is redone on np.float64 for numpy's inf/nan."""
     if f1 <= 0.0 or f2 <= 0.0 or f3 <= 0.0:
-        _check_positive(f)
+        _check_positive((f1, f2, f3))
     try:
-        return np.array(_frame_rhs(f1, f2, f3, d1, d2, d3, lam))
+        return _frame_rhs(f1, f2, f3, d1, d2, d3, lam)
     except ZeroDivisionError:
-        return np.array(_frame_rhs(*map(np.float64, (f1, f2, f3, d1, d2, d3)), lam))
+        return tuple(map(float, _frame_rhs(*map(np.float64, (f1, f2, f3, d1, d2, d3)), lam)))
+
+
+def frame_rhs(f, df, lam):
+    """Second derivatives f_i'' = f_i (L_i' + L_i^2) of one triple, as an array."""
+    (f1, f2, f3), (d1, d2, d3) = map(float, f), map(float, df)
+    return np.array(frame_slope(f1, f2, f3, d1, d2, d3, lam)[3:])
 
 
 def constraint_residual(L, R, lam):

@@ -105,7 +105,7 @@ class Trajectory:
 
 def rhs_vector(y, lam):
     """First-order right-hand side for the packed state (f, f'), as a list."""
-    return [*y[3:], *core.frame_rhs(y[:3], y[3:], lam).tolist()]
+    return [*core.frame_slope(*map(float, y), lam)]
 
 
 def check_tolerances(rtol, atol):
@@ -125,16 +125,17 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
 
     The state, stages, time, step size and error norm are Python floats, and
     each tableau sum is written out, its terms added left to right in stage
-    order, so a leg has the same bits on every CPU.  ``core.frame_rhs`` is
-    looked up once per call, and each stage packs its slope inline as
-    ``rhs_vector`` does."""
+    order, so a leg has the same bits on every CPU.  Each stage calls
+    ``core.frame_slope`` on six floats, looked up once per call."""
     if t_target <= t0:
         raise ValueError("t_target must exceed t0")
     check_tolerances(rtol, atol)
-    rhs = core.frame_rhs
+    y = [*map(float, f0), *map(float, df0)]
+    if not all(map(math.isfinite, y)):
+        raise ValueError(f"the start (f0, df0) must be finite, got {y}")
+    rhs = core.frame_slope
     if leg is None:
-        y = [*map(float, f0), *map(float, df0)]
-        ts, ys, dys = [float(t0)], [y], [rhs_vector(y, lam)]
+        ts, ys, dys = [float(t0)], [y], [rhs(*y, lam)]
         # initial step from the slope scale
         h = float(1e-3 * (1 + np.max(np.abs(y))) / (1 + np.max(np.abs(dys[0]))))
         err_prev, n_rej = 1.0, 0
@@ -148,28 +149,27 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
     b1, _, b3, b4, b5, b6 = _B5
     e1, _, e3, e4, e5, e6, e7 = _ERR
-    resume = None
-    reason = "step_failure"
+    resume, reason = None, "step_failure"
     while len(ts) - 1 + n_rej < _MAX_STEPS:
         if resume is None and t_target - t < h:
             resume = (len(ts), h, err_prev, n_rej)
         h = min(h, t_target - t)
         try:
             z = [a + h * (a21 * p) for a, p in zip(y, k1)]
-            k2 = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
+            k2 = rhs(*z, lam)
             z = [a + h * (a31 * p + a32 * q) for a, p, q in zip(y, k1, k2)]
-            k3 = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
+            k3 = rhs(*z, lam)
             z = [a + h * (a41 * p + a42 * q + a43 * r) for a, p, q, r in zip(y, k1, k2, k3)]
-            k4 = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
+            k4 = rhs(*z, lam)
             z = [a + h * (a51 * p + a52 * q + a53 * r + a54 * s)
                  for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-            k5 = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
+            k5 = rhs(*z, lam)
             z = [a + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * v)
                  for a, p, q, r, s, v in zip(y, k1, k2, k3, k4, k5)]
-            k6 = [*z[3:], *rhs(z[:3], z[3:], lam).tolist()]
+            k6 = rhs(*z, lam)
             y5 = [a + h * (b1 * p + b3 * r + b4 * s + b5 * v + b6 * w)
                   for a, p, r, s, v, w in zip(y, k1, k3, k4, k5, k6)]
-            k7 = [*y5[3:], *rhs(y5[:3], y5[3:], lam).tolist()]
+            k7 = rhs(*y5, lam)
         except core.NonPositiveProfile:
             err = None  # stepped over a collapse: rejected, retried at h / 4
         else:
@@ -203,7 +203,7 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
         else:
             n_rej += 1
             h *= 0.25 if err is None else min(1.0, max(0.2, 0.9 * err ** -0.2))
-            if h < 1e-14 * max(1.0, abs(t)):
+            if not h >= 1e-14 * max(1.0, abs(t)):  # NaN too, from a non-finite slope
                 break
     return Trajectory(np.array(ts), np.array(ys), np.array(dys), lam,
                       reason, n_rej, resume)

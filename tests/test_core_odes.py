@@ -45,13 +45,27 @@ def test_lr_from_frame_round_values():
     assert np.isclose(S, 3 / np.tan(t))
 
 
+def _slope_rhs(f, df, lam):
+    # the step loop's entry on six floats, its f'' part as an array; every
+    # Python float it returns, the np.float64 fallback's included
+    out = core.frame_slope(*map(float, f), *map(float, df), lam)
+    assert isinstance(out, tuple) and all(type(v) is float for v in out)
+    assert out[:3] == tuple(map(float, df))
+    return np.array(out[3:])
+
+
+# each contract below holds for both forms of the frame right-hand side
+RHS_FORMS = (core.frame_rhs, _slope_rhs)
+
+
 @pytest.mark.parametrize("i", range(3))
 @pytest.mark.parametrize("bad", [0.0, -0.5])
 def test_frame_rhs_rejects_nonpositive_component(i, bad):
     f = [1.0, 1.0, 1.0]
     f[i] = bad
-    with pytest.raises(ValueError, match=f"f_{i + 1}"):
-        core.frame_rhs(f, [0.0, 0.0, 0.0], 3.0)
+    for rhs in RHS_FORMS:
+        with pytest.raises(ValueError, match=f"f_{i + 1}"):
+            rhs(f, [0.0, 0.0, 0.0], 3.0)
 
 
 def test_positivity_failures_are_typed():
@@ -64,21 +78,24 @@ def test_positivity_failures_are_typed():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_frame_rhs_underflow_gives_nan_not_an_exception():
     # f_j f_k underflows to zero: numpy's inf/nan, never ZeroDivisionError
-    out = core.frame_rhs((1e-170,) * 3, (0.0, 0.0, 0.0), 3.0)
-    assert out.shape == (3,) and np.all(np.isnan(out))
+    for rhs in RHS_FORMS:
+        out = rhs((1e-170,) * 3, (0.0, 0.0, 0.0), 3.0)
+        assert out.shape == (3,) and np.all(np.isnan(out))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_frame_rhs_overflow_values():
-    out = core.frame_rhs((1e200, 1e200, 1e-100), (1e200, 1.0, 1.0), 3.0)
-    assert np.array_equal(out, [-2e200, -3e200, 0.0])
+    for rhs in RHS_FORMS:
+        out = rhs((1e200, 1e200, 1e-100), (1e200, 1.0, 1.0), 3.0)
+        assert np.array_equal(out, [-2e200, -3e200, 0.0])
 
 
 def test_frame_rhs_accepts_lists():
-    out = core.frame_rhs([1, 2, 3], [0, 1, -1], 3.0)
-    assert isinstance(out, np.ndarray) and out.dtype == float
-    assert np.array_equal(out, core.frame_rhs(np.array([1.0, 2.0, 3.0]),
-                                              np.array([0.0, 1.0, -1.0]), 3.0))
+    ref = core.frame_rhs(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1.0]), 3.0)
+    for rhs in RHS_FORMS:
+        out = rhs([1, 2, 3], [0, 1, -1], 3.0)
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        assert np.array_equal(out, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -109,14 +109,14 @@ def test_an_event_ends_the_leg_at_the_step_that_crossed():
 def test_a_stopped_leg_spends_six_rhs_calls_per_step(monkeypatch):
     # one FSAL evaluation at the start, then six per attempted step; no
     # extra evaluation locates the event inside the last step
-    real = core.frame_rhs
+    real = core.frame_slope
     calls = []
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(core, "frame_rhs", counted)
+    monkeypatch.setattr(core, "frame_slope", counted)
     traj = _blowup_traj()
     assert traj.reason == "blowup_event"
     assert len(calls) == 1 + 6 * (traj.n_accepted + traj.n_rejected)
@@ -133,14 +133,14 @@ def test_a_retried_step_starts_from_the_last_accepted_slope(monkeypatch):
     pr = ShootingProblem(get_diagram("su2_s4"))
     left, _, _ = pr.split(scan_box("su2_s4", width=0.25, n=3)[242])
     f0, df0 = series_solve(pr.diagram.left, left, 3.0, order=8).eval(0.01)
-    real = core.frame_rhs
+    real = core.frame_slope
     xs = []
 
-    def recording(f, df, lam):
-        xs.append(np.concatenate([f, df]))
-        return real(f, df, lam)
+    def recording(f1, f2, f3, d1, d2, d3, lam):
+        xs.append(np.array([f1, f2, f3, d1, d2, d3]))
+        return real(f1, f2, f3, d1, d2, d3, lam)
 
-    monkeypatch.setattr(core, "frame_rhs", recording)
+    monkeypatch.setattr(core, "frame_slope", recording)
     traj = integrate_frame(f0, df0, 0.01, 5.0, 3.0, rtol=1e-6, atol=1e-8)
     assert len(xs) == 1 + 6 * (traj.n_accepted + traj.n_rejected)
     n, retried = 0, 0
@@ -219,7 +219,7 @@ def test_float_bookkeeping_keeps_the_array_forms_bits(case_id):
 def test_a_stage_past_a_collapse_is_rejected_and_retried(monkeypatch):
     # a steep inward slope drives f1 through zero inside a trial step; the
     # stage that sees f1 <= 0 rejects the step, which is retried at h / 4
-    real = core.frame_rhs
+    real = core.frame_slope
     raised = []
 
     def counted(*args):
@@ -229,7 +229,7 @@ def test_a_stage_past_a_collapse_is_rejected_and_retried(monkeypatch):
             raised.append(1)
             raise
 
-    monkeypatch.setattr(core, "frame_rhs", counted)
+    monkeypatch.setattr(core, "frame_slope", counted)
     traj = integrate_frame([1, 1, 1], [-10, 0, 0], 0, 5, 3.0)
     assert len(raised) == 1
     assert traj.reason == "collapse_event"
@@ -294,7 +294,7 @@ def test_an_exact_step_takes_the_largest_growth():
 def test_only_a_nonpositive_profile_shortens_the_step(monkeypatch):
     # a ValueError other than core.NonPositiveProfile is a fault, not a
     # step over a collapse, and must not be retried into a step_failure leg
-    real = core.frame_rhs
+    real = core.frame_slope
     calls = []
 
     def failing(*args):
@@ -303,10 +303,36 @@ def test_only_a_nonpositive_profile_shortens_the_step(monkeypatch):
             raise ValueError("not a positivity failure")
         return real(*args)
 
-    monkeypatch.setattr(core, "frame_rhs", failing)
+    monkeypatch.setattr(core, "frame_slope", failing)
     with pytest.raises(ValueError, match="not a positivity failure"):
         _round_traj()
     assert len(calls) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("f0,df0", [((np.nan, 1.0, 1.0), (0.0, 0.0, 0.0)),
+                                    ((1.0, 1.0, 1.0), (np.inf, 0.0, 0.0)),
+                                    ((1e-170,) * 3, (0.0, 0.0, 0.0))])
+def test_a_start_with_no_finite_slope_ends_at_once(monkeypatch, f0, df0):
+    # a non-finite start is a usage error; a finite one whose first slope is
+    # NaN (f_j f_k underflows) gives a NaN step size, which ends the leg at
+    # its first attempt instead of spinning through _MAX_STEPS rejections
+    real = core.frame_slope
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(core, "frame_slope", counted)
+    if np.all(np.isfinite([*f0, *df0])):
+        traj = integrate_frame(f0, df0, 0.0, 1.0, 3.0)
+        assert (traj.reason, len(traj.t), traj.n_rejected) == ("step_failure", 1, 1)
+        assert len(calls) == 1 + 6
+    else:
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate_frame(f0, df0, 0.0, 1.0, 3.0)
+        assert not calls
 
 
 def test_tolerance_scaling():

@@ -456,14 +456,14 @@ def test_t_column_resumes_the_base_legs(monkeypatch, case_id, k):
     pr = _problem(case_id, k)
     u = initial_guess(case_id, k)
     base = shooting.shoot(pr, u)
-    real = core.frame_rhs
+    real = core.frame_slope
     calls = []
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(core, "frame_rhs", counted)
+    monkeypatch.setattr(core, "frame_slope", counted)
     col = shooting.shoot(pr, _t_column(u), base=base)
     monkeypatch.undo()
     assert col.germs == base.germs and col.failure is None
@@ -563,7 +563,7 @@ def test_page_reference_residual_at_the_shipped_guess():
         lam = mpmath.mpf(pr.lam)
         for leg, reach in zip(shot.legs, shot.reach):
             if id(leg) not in ends:
-                ref = mpmath.odefun(lambda t, y: [*y[3:], *core._frame_rhs(*y, lam)],
+                ref = mpmath.odefun(lambda t, y: [*core._frame_rhs(*y, lam)],
                                     mpmath.mpf(leg.t[0]), [mpmath.mpf(v) for v in leg.y[0]],
                                     tol=mpmath.mpf("1e-25"), degree=30)
                 ends[id(leg)] = ref(mpmath.mpf(reach))
