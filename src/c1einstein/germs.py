@@ -6,9 +6,9 @@ conditions of the acting group.  Coefficients are found order by order: the
 second-order Einstein system, multiplied through by f_i f_j^2 f_k^2, is a
 polynomial identity
 
-    P_i := f_i'' f_i f_j^2 f_k^2
-           + f_i f_i' (f_j' f_j f_k^2 + f_k' f_k f_j^2)
-           - 2 f_i^4 + 2 (f_j^2 - f_k^2)^2 + lambda f_i^2 f_j^2 f_k^2  =  0,
+    P_i := f_i'' f_i q_i + 1/4 (f_i^2)' q_i'
+           - 2 f_i^4 + 2 (f_j^2 - f_k^2)^2 + lambda f_i^2 q_i  =  0,
+    q_i := f_j^2 f_k^2,
 
 and each Taylor order of P is linear in the coefficients it introduces.
 Coefficients the staircase cannot fix are the free germ parameters; they are
@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import core
 from .core import J, K, NonPositiveProfile
 
 __all__ = [
@@ -313,22 +314,17 @@ def _pder(a):
 
 
 def _poly_residual(c, lam, L):
-    """Taylor coefficients of P_i, shape (..., 3, L); c has shape (..., 3, N+1)."""
-    f = c
-    d = _pder(f)
-    dd = _pder(d)
-    fj, fk = f[..., J, :], f[..., K, :]
-    dj, dk = d[..., J, :], d[..., K, :]
-    f2 = _pmul(f, f, L)
+    """Taylor coefficients of P_i, shape (..., 3, L); c has shape (..., 3, N+1).
+    The squares f^2 and q run through order L, so their derivatives reach L - 1."""
+    f2 = _pmul(c, c, L + 1)
     fj2, fk2 = f2[..., J, :], f2[..., K, :]
-    jk2 = _pmul(fj2, fk2, L)
+    q = _pmul(fj2, fk2, L + 1)
     diff = fj2 - fk2
-    term1 = _pmul(_pmul(dd, f, L), jk2, L)
-    cross = _pmul(_pmul(dj, fj, L), fk2, L) + _pmul(_pmul(dk, fk, L), fj2, L)
-    term2 = _pmul(_pmul(f, d, L), cross, L)
+    term1 = _pmul(_pmul(_pder(_pder(c)), c, L), q, L)
+    term2 = 0.25 * _pmul(_pder(f2), _pder(q), L)
     term3 = -2.0 * _pmul(f2, f2, L)
     term4 = 2.0 * _pmul(diff, diff, L)
-    term5 = lam * _pmul(f2, jk2, L)
+    term5 = lam * _pmul(f2, q, L)
     return term1 + term2 + term3 + term4 + term5
 
 
@@ -452,14 +448,11 @@ def germ_start_offset(germ: SeriesGerm):
     below ``_DEFECT_TARGET``.  GermConstructionError is raised when no offset
     does, or when the germ leaves f > 0 at an offset tried before one does.
     """
-    # resolved at call time, so a tracer or counter that replaces it counts these calls
-    from .core import frame_rhs
-
     eps_grid = _RADIUS * np.logspace(-0.5, -3.0, 26)
     for eps in eps_grid:
         f, df = germ.eval(eps)
         try:
-            rhs = frame_rhs(f, df, germ.lam)
+            rhs = core.frame_rhs(f, df, germ.lam)
         except NonPositiveProfile as exc:
             # a mirror end's f = h -/+ c t + ... can cross zero inside the
             # radius when h is small against c

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import core
+from . import core, germs
 
 __all__ = ["Trajectory", "HandoffError", "check_tolerances", "integrate_frame",
            "integrate_germ", "drift_report"]
@@ -103,11 +103,6 @@ class Trajectory:
                 "constraint": core.constraint_residual(L, R, self.lam)}
 
 
-def rhs_vector(y, lam):
-    """First-order right-hand side for the packed state (f, f'), as a list."""
-    return [*core.frame_slope(*map(float, y), lam)]
-
-
 def check_tolerances(rtol, atol):
     """ValueError unless rtol >= 0 and atol > 0 are finite: the step error
     norm divides by atol + rtol |y|, which is 0 where y is 0 unless atol > 0."""
@@ -131,8 +126,9 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
         raise ValueError("t_target must exceed t0")
     check_tolerances(rtol, atol)
     y = [*map(float, f0), *map(float, df0)]
-    if not all(map(math.isfinite, y)):
-        raise ValueError(f"the start (f0, df0) must be finite, got {y}")
+    if not all(map(math.isfinite, (*y, t0, t_target))):
+        raise ValueError("the start (f0, df0) and the times must be finite, "
+                         f"got {y}, t0 = {t0}, t_target = {t_target}")
     rhs = core.frame_slope
     if leg is None:
         ts, ys, dys = [float(t0)], [y], [rhs(*y, lam)]
@@ -217,13 +213,10 @@ def integrate_germ(germ, t_target, leg=None, **kw) -> Trajectory:
     """Integrate away from a singular orbit, handing off from the Taylor germ
     at the offset ``germs.germ_start_offset`` picks, or continue ``leg``, a
     leg of the same germ and options, as ``integrate_frame`` does."""
-    # resolved at call time, so a tracer or counter that replaces it is the one called
-    from .germs import germ_start_offset
-
     if leg is not None:
         return integrate_frame(leg.f[0], leg.df[0], leg.t[0], t_target, germ.lam,
                                leg=leg, **kw)
-    eps = germ_start_offset(germ)
+    eps = germs.germ_start_offset(germ)
     if eps >= t_target:
         raise HandoffError(f"germ hand-off offset {eps:.6g} is not below "
                            f"the target {t_target:.6g}")

@@ -191,11 +191,8 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
             failure = failure or traj.reason
     if failure is not None:
         return Shot(germs, legs, np.full(6, _PENALTY * (1.0 + short)), reach, failure, sides)
-    fl, dfl = legs[0].eval(reach[0])
-    fr, dfr = legs[1].eval(reach[1])
-    res = np.empty(6)
-    res[:3] = fl[0] - fr[0]
-    res[3:] = dfl[0] + dfr[0]  # opposite orientations
+    # a reached leg's last sample is its match point; orientations are opposite
+    res = legs[0].y[-1] - legs[1].y[-1] * _MIRROR
     return Shot(germs, legs, res, reach, sides=sides)
 
 

@@ -332,6 +332,61 @@ def test_pmul_keeps_the_signs_of_zero_sums():
         assert germs._pmul(a, b, L).tobytes() == want.tobytes()
 
 
+def _poly_residual_13(c, lam, L):
+    """P_i as written out term by term, in 13 truncated products: f_i f_i'
+    and f_j' f_j f_k^2 + f_k' f_k f_j^2 formed on their own."""
+    f, d = c, germs._pder(c)
+    dd = germs._pder(d)
+    mul = germs._pmul
+    f2 = mul(f, f, L)
+    fj2, fk2 = f2[..., core.J, :], f2[..., core.K, :]
+    jk2 = mul(fj2, fk2, L)
+    diff = fj2 - fk2
+    cross = (mul(mul(d[..., core.J, :], f[..., core.J, :], L), fk2, L)
+             + mul(mul(d[..., core.K, :], f[..., core.K, :], L), fj2, L))
+    return (mul(mul(dd, f, L), jk2, L) + mul(mul(f, d, L), cross, L)
+            - 2.0 * mul(f2, f2, L) + 2.0 * mul(diff, diff, L) + lam * mul(f2, jk2, L))
+
+
+def _catalog_ends():
+    ends = {}
+    for d in diagram_catalog() + [get_diagram("so3_hitchin", k) for k in (4, 5, 6)]:
+        ends.update(dict.fromkeys((d.left, d.right)))
+    return list(ends)
+
+
+@pytest.mark.parametrize("end", _catalog_ends(), ids=repr)
+def test_poly_residual_matches_the_written_out_form(end, monkeypatch):
+    # f f' and the cross sum are halves of the derivatives of squares the
+    # residual forms anyway, so it takes 8 products, not 13
+    st = germs._structure(end, 8)
+    rng = np.random.default_rng(2024)
+    c = germs._apply(st, rng.uniform(-1.5, 1.5, (16, len(st.names))))
+    lam = rng.uniform(-3.0, 3.0)
+    want = _poly_residual_13(c, lam, st.N + 4)
+    scale = np.max(np.abs(_poly_residual_13(np.abs(c), abs(lam), st.N + 4)), axis=(0, 1))
+    real, calls = germs._pmul, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(germs, "_pmul", counted)
+    for L in (1, st.m_stop + 1, st.N + 4):
+        calls.clear()
+        got = germs._poly_residual(c, lam, L)
+        assert len(calls) == 8 and got.shape == c.shape[:-1] + (L,)
+        # relative to each order's size with no cancellation, P of |c|
+        assert np.all(np.abs(got - want[..., :L]) <= 1e-13 * scale[:L])
+    # the slot schedule does not depend on which form's rounding it reads
+    monkeypatch.undo()
+    monkeypatch.setattr(germs, "_poly_residual", _poly_residual_13)
+    for order in range(4, 13):
+        ref = germs._structure.__wrapped__(end, order)
+        assert np.array_equal(ref.first, germs._structure(end, order).first)
+        assert ref.m_stop == germs._structure(end, order).m_stop
+
+
 # ---------------------------------------------------------------------------
 # free germ parameters
 # ---------------------------------------------------------------------------

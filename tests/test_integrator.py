@@ -14,7 +14,7 @@ import pytest
 from c1einstein import core
 from c1einstein.germs import get_diagram, series_solve
 from c1einstein.integrator import (Trajectory, drift_report, integrate_frame,
-                                   integrate_germ, rhs_vector)
+                                   integrate_germ)
 from c1einstein.oracles import oracle
 
 S2 = np.sqrt(2.0)
@@ -25,13 +25,6 @@ def _round_traj(t_end=2.0, **kw):
     prof = oracle("round_su2", lam=3.0)
     t0 = 0.3
     return prof, integrate_frame(prof.f(t0), prof.df(t0), t0, t_end, 3.0, **kw)
-
-
-def test_rhs_vector_packs_frame_rhs():
-    y = np.array([1.0, 1.1, 0.9, 0.1, -0.2, 0.05])
-    out = rhs_vector(y, 3.0)
-    assert np.array_equal(out[:3], y[3:])
-    assert np.allclose(out[3:], core.frame_rhs(y[:3], y[3:], 3.0))
 
 
 @pytest.mark.parametrize("orc,t0,t1", [
@@ -57,7 +50,7 @@ def test_agrees_with_scipy_dop853(orc, t0, t1):
 
     prof = oracle(orc, lam=3.0)
     traj = integrate_frame(prof.f(t0), prof.df(t0), t0, t1, 3.0)
-    ref = solve_ivp(lambda t, y: rhs_vector(y, 3.0), (t0, t1), traj.y[0],
+    ref = solve_ivp(lambda t, y: core.frame_slope(*map(float, y), 3.0), (t0, t1), traj.y[0],
                     method="DOP853", rtol=1e-12, atol=1e-14, t_eval=traj.t)
     assert ref.success
     assert np.max(np.abs(ref.y.T - traj.y)) < 1e-8
@@ -310,13 +303,19 @@ def test_only_a_nonpositive_profile_shortens_the_step(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("f0,df0", [((np.nan, 1.0, 1.0), (0.0, 0.0, 0.0)),
-                                    ((1.0, 1.0, 1.0), (np.inf, 0.0, 0.0)),
-                                    ((1e-170,) * 3, (0.0, 0.0, 0.0))])
-def test_a_start_with_no_finite_slope_ends_at_once(monkeypatch, f0, df0):
-    # a non-finite start is a usage error; a finite one whose first slope is
-    # NaN (f_j f_k underflows) gives a NaN step size, which ends the leg at
-    # its first attempt instead of spinning through _MAX_STEPS rejections
+@pytest.mark.parametrize("f0,df0,t0,t1", [((np.nan, 1.0, 1.0), (0.0, 0.0, 0.0), 0.0, 1.0),
+                                          ((1.0, 1.0, 1.0), (np.inf, 0.0, 0.0), 0.0, 1.0),
+                                          ((1e-170,) * 3, (0.0, 0.0, 0.0), 0.0, 1.0),
+                                          ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), np.nan, 1.0),
+                                          ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 0.0, np.nan),
+                                          ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 0.0, np.inf)],
+                         ids=["f00-df00", "f01-df01", "f02-df02",
+                              "t0-nan", "t_target-nan", "t_target-inf"])
+def test_a_start_with_no_finite_slope_ends_at_once(monkeypatch, f0, df0, t0, t1):
+    # a non-finite start or time is a usage error; a finite start whose
+    # first slope is NaN (f_j f_k underflows) gives a NaN step size, which
+    # ends the leg at its first attempt instead of spinning through
+    # _MAX_STEPS rejections
     real = core.frame_slope
     calls = []
 
@@ -325,13 +324,13 @@ def test_a_start_with_no_finite_slope_ends_at_once(monkeypatch, f0, df0):
         return real(*args)
 
     monkeypatch.setattr(core, "frame_slope", counted)
-    if np.all(np.isfinite([*f0, *df0])):
-        traj = integrate_frame(f0, df0, 0.0, 1.0, 3.0)
+    if np.all(np.isfinite([*f0, *df0, t0, t1])):
+        traj = integrate_frame(f0, df0, t0, t1, 3.0)
         assert (traj.reason, len(traj.t), traj.n_rejected) == ("step_failure", 1, 1)
         assert len(calls) == 1 + 6
     else:
         with pytest.raises(ValueError, match="must be finite"):
-            integrate_frame(f0, df0, 0.0, 1.0, 3.0)
+            integrate_frame(f0, df0, t0, t1, 3.0)
         assert not calls
 
 

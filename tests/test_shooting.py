@@ -475,6 +475,36 @@ def test_t_column_resumes_the_base_legs(monkeypatch, case_id, k):
         _assert_same_leg(leg, ref)
 
 
+def _hermite_residual(shot):
+    """The match differences from each leg interpolated at its match distance."""
+    (fl, dfl), (fr, dfr) = (leg.eval(r) for leg, r in zip(shot.legs, shot.reach))
+    return np.concatenate([fl[0] - fr[0], dfl[0] + dfr[0]])
+
+
+@pytest.mark.parametrize("case_id,k", INSTANCES)
+def test_a_reached_leg_ends_on_its_match_point(case_id, k):
+    # shoot takes the residual from the legs' last samples: on the shipped
+    # shot, its Jacobian columns and the default scan boxes, each reached
+    # leg ends exactly at its match distance, so the interpolated residual
+    # is the same, bit for bit
+    pr = _problem(case_id, k)
+    u = initial_guess(case_id, k)
+    base = shooting.shoot(pr, u)
+    shots = [base]
+    for i in range(len(u)):
+        up = u.copy()
+        up[i] += shooting._FD_STEP * (1.0 + abs(u[i]))
+        shots.append(shooting.shoot(pr, up, base=base))
+    if case_id in ("su2_s4", "so3_s2xs2"):
+        anchor = shooting.Shot((), (), np.empty(0))
+        shots += [shooting.shoot(pr, v, base=anchor) for v in scan_box(case_id, k)]
+    reached = [s for s in shots if s.failure is None]
+    assert base.failure is None and len(reached) >= 6
+    for shot in reached:
+        assert [leg.t[-1] for leg in shot.legs] == list(shot.reach)
+        assert shot.residual.tobytes() == _hermite_residual(shot).tobytes()
+
+
 def test_a_leg_that_never_read_its_target_is_its_own_continuation():
     pr = _problem("su2_s4")
     u = scan_box("su2_s4", width=0.25, n=3)[242]
