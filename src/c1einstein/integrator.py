@@ -118,10 +118,10 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
     target, from ``leg.resume``: no sample before it depends on the target, so
     the result is a fresh run's, bit for bit.
 
-    The state, stages, time, step size and error norm are Python floats, and
-    each tableau sum is written out, its terms added left to right in stage
-    order, so a leg has the same bits on every CPU.  Each stage calls
-    ``core.frame_slope`` on six floats, looked up once per call."""
+    The state and each stage are six named Python floats, and each tableau
+    sum is written out, its terms added left to right in stage order with no
+    list, zip or unpacking per stage, so a leg has the same bits on every CPU.
+    Each stage is one call of ``core.frame_slope``, looked up once per call."""
     if t_target <= t0:
         raise ValueError("t_target must exceed t0")
     check_tolerances(rtol, atol)
@@ -140,8 +140,9 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
     else:
         n, h, err_prev, n_rej = leg.resume
         ts, ys, dys = leg.t[:n].tolist(), leg.y[:n].tolist(), leg.dy[:n].tolist()
-    t, y = ts[-1], ys[-1]
-    k1 = dys[-1]  # FSAL: the last accepted slope is every attempt's first stage
+    t = ts[-1]
+    y0, y1, y2, y3, y4, y5 = y = ys[-1]
+    p0, p1, p2, p3, p4, p5 = k1 = dys[-1]  # FSAL: the last accepted slope is the first stage
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
     b1, _, b3, b4, b5, b6 = _B5
     e1, _, e3, e4, e5, e6, e7 = _ERR
@@ -151,40 +152,63 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             resume = (len(ts), h, err_prev, n_rej)
         h = min(h, t_target - t)
         try:
-            z = [a + h * (a21 * p) for a, p in zip(y, k1)]
-            k2 = rhs(*z, lam)
-            z = [a + h * (a31 * p + a32 * q) for a, p, q in zip(y, k1, k2)]
-            k3 = rhs(*z, lam)
-            z = [a + h * (a41 * p + a42 * q + a43 * r) for a, p, q, r in zip(y, k1, k2, k3)]
-            k4 = rhs(*z, lam)
-            z = [a + h * (a51 * p + a52 * q + a53 * r + a54 * s)
-                 for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-            k5 = rhs(*z, lam)
-            z = [a + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * v)
-                 for a, p, q, r, s, v in zip(y, k1, k2, k3, k4, k5)]
-            k6 = rhs(*z, lam)
-            y5 = [a + h * (b1 * p + b3 * r + b4 * s + b5 * v + b6 * w)
-                  for a, p, r, s, v, w in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(*y5, lam)
+            q0, q1, q2, q3, q4, q5 = rhs(
+                y0 + h * (a21 * p0), y1 + h * (a21 * p1), y2 + h * (a21 * p2),
+                y3 + h * (a21 * p3), y4 + h * (a21 * p4), y5 + h * (a21 * p5), lam)
+            k3 = r0, r1, r2, r3, r4, r5 = rhs(
+                y0 + h * (a31 * p0 + a32 * q0), y1 + h * (a31 * p1 + a32 * q1),
+                y2 + h * (a31 * p2 + a32 * q2), y3 + h * (a31 * p3 + a32 * q3),
+                y4 + h * (a31 * p4 + a32 * q4), y5 + h * (a31 * p5 + a32 * q5), lam)
+            k4 = s0, s1, s2, s3, s4, s5 = rhs(
+                y0 + h * (a41 * p0 + a42 * q0 + a43 * r0),
+                y1 + h * (a41 * p1 + a42 * q1 + a43 * r1),
+                y2 + h * (a41 * p2 + a42 * q2 + a43 * r2),
+                y3 + h * (a41 * p3 + a42 * q3 + a43 * r3),
+                y4 + h * (a41 * p4 + a42 * q4 + a43 * r4),
+                y5 + h * (a41 * p5 + a42 * q5 + a43 * r5), lam)
+            k5 = v0, v1, v2, v3, v4, v5 = rhs(
+                y0 + h * (a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0),
+                y1 + h * (a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1),
+                y2 + h * (a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2),
+                y3 + h * (a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3),
+                y4 + h * (a51 * p4 + a52 * q4 + a53 * r4 + a54 * s4),
+                y5 + h * (a51 * p5 + a52 * q5 + a53 * r5 + a54 * s5), lam)
+            k6 = w0, w1, w2, w3, w4, w5 = rhs(
+                y0 + h * (a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * v0),
+                y1 + h * (a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * v1),
+                y2 + h * (a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * v2),
+                y3 + h * (a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * v3),
+                y4 + h * (a61 * p4 + a62 * q4 + a63 * r4 + a64 * s4 + a65 * v4),
+                y5 + h * (a61 * p5 + a62 * q5 + a63 * r5 + a64 * s5 + a65 * v5), lam)
+            z = z0, z1, z2, z3, z4, z5 = (
+                y0 + h * (b1 * p0 + b3 * r0 + b4 * s0 + b5 * v0 + b6 * w0),
+                y1 + h * (b1 * p1 + b3 * r1 + b4 * s1 + b5 * v1 + b6 * w1),
+                y2 + h * (b1 * p2 + b3 * r2 + b4 * s2 + b5 * v2 + b6 * w2),
+                y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * v3 + b6 * w3),
+                y4 + h * (b1 * p4 + b3 * r4 + b4 * s4 + b5 * v4 + b6 * w4),
+                y5 + h * (b1 * p5 + b3 * r5 + b4 * s5 + b5 * v5 + b6 * w5))
+            k7 = rhs(z0, z1, z2, z3, z4, z5, lam)
         except core.NonPositiveProfile:
             err = None  # stepped over a collapse: rejected, retried at h / 4
         else:
-            # numpy's norm in its order; y5[i] is NaN where y[i] is, as np.maximum needs
+            # numpy's norm in its order; z[i] is NaN where y[i] is, as np.maximum needs
             err = 0.0
-            for p, r, s, v, w, x, a, b in zip(k1, k3, k4, k5, k6, k7, map(abs, y), map(abs, y5)):
+            for p, r, s, v, w, x, a, b in zip(k1, k3, k4, k5, k6, k7, map(abs, y), map(abs, z)):
                 d = (h * (e1 * p + e3 * r + e4 * s + e5 * v + e6 * w + e7 * x)
                      / (atol + rtol * (a if a > b else b)))
                 err += d * d
             err = math.sqrt(err / 6)
         if err is not None and err <= 1.0:
-            t, y, k1 = t + h, y5, k7
+            t += h
+            y0, y1, y2, y3, y4, y5 = y = z
+            p0, p1, p2, p3, p4, p5 = k1 = k7
             ts.append(t)
-            ys.append(y)
-            dys.append(k1)
-            if min(y[:3]) <= _COLLAPSE_FLOOR:
+            ys.append(z)
+            dys.append(k7)
+            if min(y0, y1, y2) <= _COLLAPSE_FLOOR:
                 reason = "collapse_event"
                 break
-            if max(map(abs, y[:3])) >= blowup_ceiling:
+            if max(abs(y0), abs(y1), abs(y2)) >= blowup_ceiling:
                 reason = "blowup_event"
                 break
             if t >= t_target - 1e-14 * max(1.0, abs(t_target)):

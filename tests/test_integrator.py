@@ -150,7 +150,7 @@ def test_a_retried_step_starts_from_the_last_accepted_slope(monkeypatch):
 def _array_dopri5(y, t, t_target, lam, rtol, atol, ceiling):
     # the step loop on numpy arrays, the reference for integrate_frame's
     # float bookkeeping; each tableau sum adds its nonzero terms left to
-    # right in stage order
+    # right in stage order.  Returns the accepted times, states and slopes
     from c1einstein.integrator import _A, _B5, _ERR
 
     def rhs(y):
@@ -161,7 +161,7 @@ def _array_dopri5(y, t, t_target, lam, rtol, atol, ceiling):
         return sum(terms[1:], terms[0])
 
     k7 = rhs(y)
-    ts, ys = [t], [y]
+    ts, ys, dys = [t], [y], [k7]
     h = min(1e-3 * (1 + np.max(np.abs(y))) / (1 + np.max(np.abs(k7))), t_target - t)
     err_prev = 1.0
     while True:
@@ -183,30 +183,38 @@ def _array_dopri5(y, t, t_target, lam, rtol, atol, ceiling):
         t, y, k7 = t + h, y5, ks[6]
         ts.append(t)
         ys.append(y)
+        dys.append(k7)
         if (min(y[:3]) <= 1e-8 or np.max(np.abs(y[:3])) >= ceiling
                 or t >= t_target - 1e-14 * max(1.0, abs(t_target))):
-            return np.array(ts), np.array(ys)
+            return np.array(ts), np.array(ys), np.array(dys)
         fac = 0.9 * err ** -0.14 * err_prev ** 0.08
         err_prev = max(err, 1e-10)
         h *= min(5.0, max(0.2, fac))
 
 
-@pytest.mark.parametrize("case_id", ["su2_s4", "so3_s4", "su2_cp2bar", "so3_s2xs2"])
-def test_float_bookkeeping_keeps_the_array_forms_bits(case_id):
-    # the left leg of each shipped guess and of one scan-box point, which
-    # blows up on su2_s4 and su2_cp2bar; the last two retry a rejected step
+@pytest.mark.parametrize("case_id, k", [
+    ("su2_s4", 0), ("so3_s4", 0), ("su2_cp2", 0), ("so3_cp2", 0), ("su2_cp2bar", 0),
+    ("so3_s2xs2", 0), ("so3_hitchin", 3)])
+def test_float_bookkeeping_keeps_the_array_forms_bits(case_id, k):
+    # both legs of each shipped guess and of one scan-box point, from every
+    # end kind (fixed point, circle, even pair, mirror, orbifold); the
+    # scan-box point's legs blow up on su2_s4 and su2_cp2bar, and legs of
+    # su2_cp2bar, so3_s2xs2 and the so3_hitchin orbifold end retry a rejected step
     from c1einstein.presets import initial_guess, scan_box
     from c1einstein.shooting import ShootingProblem
 
-    pr = ShootingProblem(get_diagram(case_id))
-    for u in (initial_guess(case_id), scan_box(case_id, width=0.25, n=3)[242]):
-        left, _, T = pr.split(u)
-        germ = series_solve(pr.diagram.left, left, pr.lam, order=pr.germ_order)
-        leg = integrate_germ(germ, pr.theta * T, rtol=pr.rtol, atol=pr.atol,
-                             blowup_ceiling=10.0)
-        t, y = _array_dopri5(leg.y[0], leg.t[0], pr.theta * T, pr.lam,
-                             pr.rtol, pr.atol, 10.0)
-        assert np.array_equal(leg.t, t) and np.array_equal(leg.y, y)
+    pr = ShootingProblem(get_diagram(case_id, k))
+    for u in (initial_guess(case_id, k), scan_box(case_id, k, width=0.25, n=3)[242]):
+        left, right, T = pr.split(u)
+        for end, free, reach in ((pr.diagram.left, left, pr.theta * T),
+                                 (pr.diagram.right, right, (1.0 - pr.theta) * T)):
+            germ = series_solve(end, free, pr.lam, order=pr.germ_order)
+            leg = integrate_germ(germ, reach, rtol=pr.rtol, atol=pr.atol,
+                                 blowup_ceiling=10.0)
+            t, y, dy = _array_dopri5(leg.y[0], leg.t[0], reach, pr.lam,
+                                     pr.rtol, pr.atol, 10.0)
+            assert (np.array_equal(leg.t, t) and np.array_equal(leg.y, y)
+                    and np.array_equal(leg.dy, dy))
 
 
 def test_a_stage_past_a_collapse_is_rejected_and_retried(monkeypatch):
@@ -228,9 +236,10 @@ def test_a_stage_past_a_collapse_is_rejected_and_retried(monkeypatch):
     assert traj.reason == "collapse_event"
     assert (traj.n_accepted, traj.n_rejected) == (208, 52)
     assert traj.t_end == pytest.approx(0.0992768, abs=1e-7)
-    t, y = _array_dopri5(np.array([1.0, 1.0, 1.0, -10.0, 0.0, 0.0]), 0.0, 5.0, 3.0,
-                         1e-10, 1e-12, 1e6)
-    assert np.array_equal(traj.t, t) and np.array_equal(traj.y, y)
+    t, y, dy = _array_dopri5(np.array([1.0, 1.0, 1.0, -10.0, 0.0, 0.0]), 0.0, 5.0, 3.0,
+                             1e-10, 1e-12, 1e6)
+    assert (np.array_equal(traj.t, t) and np.array_equal(traj.y, y)
+            and np.array_equal(traj.dy, dy))
 
 
 # integrates each start given as a repr'd argument list, and prints each
