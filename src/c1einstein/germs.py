@@ -332,22 +332,34 @@ def _poly_residual(c, lam, L):
 # order-by-order solve
 # --------------------------------------------------------------------------
 
+# a huge finite parameter overflows the products: raised below as a germ error
+@np.errstate(over="ignore", invalid="ignore")
 def _staircase(st, values, determined, lam):
     """Solve dependent slots order by order in place, through order m_stop:
-    each wanted slot moves an order <= m_stop, so it ends determined or this raises."""
+    each wanted slot moves an order <= m_stop, so it ends determined or this raises.
+    P is probed only at orders that hold unknowns and at m_stop.  An order with
+    none is checked from row 0 of the next probe, at the scale of the orders
+    through it: no slot solved since moves an order of P below its first."""
+    unchecked = 0  # the first order neither checked nor solved
     for m in range(st.m_stop + 1):
         S_m = np.flatnonzero(~determined & (st.first == m))
+        if not S_m.size and m < st.m_stop:
+            continue
         # orders <= m only: an order of P depends on no higher one, and
         # _pmul's sums keep their bits when its trailing orders are cut
         r = _probe(st, values, S_m, lam, m + 1)
+        if not np.isfinite(r).all():
+            raise GermConstructionError(f"germ residual is not finite at order {m}")
+        for j in range(unchecked, m if S_m.size else m + 1):
+            scale = max(np.max(np.abs(r[0, :, :j + 1])), 1.0)
+            if np.max(np.abs(r[0, :, j])) > _STAIRCASE_RTOL * scale:
+                raise GermConstructionError(
+                    f"inconsistent equations at order {j} with no unknowns left to fix")
+        unchecked = m + 1
+        if not S_m.size:
+            return
         scale = max(np.max(np.abs(r[0])), 1.0)
         rm = r[0, :, m]
-        if not S_m.size:
-            if np.max(np.abs(rm)) > _STAIRCASE_RTOL * scale:
-                raise GermConstructionError(
-                    f"inconsistent equations at order {m} with no unknowns left to fix"
-                )
-            continue
         rp = r[1::2, :, m]
         rn = r[2::2, :, m]
         A = 0.5 * (rp - rn).T  # (3, |S_m|)
@@ -449,10 +461,11 @@ def germ_start_offset(germ: SeriesGerm):
     does, or when the germ leaves f > 0 at an offset tried before one does.
     """
     eps_grid = _RADIUS * np.logspace(-0.5, -3.0, 26)
-    for eps in eps_grid:
-        f, df = germ.eval(eps)
+    # one pass over the grid: each row is the scalar evaluation's, bit for bit
+    (f, df), dd = germ.eval(eps_grid), germ.eval_second(eps_grid)
+    for i, eps in enumerate(eps_grid):
         try:
-            rhs = core.frame_rhs(f, df, germ.lam)
+            rhs = core.frame_rhs(f[i], df[i], germ.lam)
         except NonPositiveProfile as exc:
             # a mirror end's f = h -/+ c t + ... can cross zero inside the
             # radius when h is small against c
@@ -460,7 +473,7 @@ def germ_start_offset(germ: SeriesGerm):
                 f"germ is not positive at offset {eps:.3g}: {exc}") from exc
         # relative defect: near a collapse the rhs grows like 1/t^2 and the
         # absolute defect bottoms out at roundoff of that magnitude
-        defect = np.max(np.abs(rhs - germ.eval_second(eps))) / (1.0 + np.max(np.abs(rhs)))
+        defect = np.max(np.abs(rhs - dd[i])) / (1.0 + np.max(np.abs(rhs)))
         if defect < _DEFECT_TARGET:
             return float(eps)
     raise GermConstructionError(

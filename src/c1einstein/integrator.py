@@ -141,8 +141,9 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
         n, h, err_prev, n_rej = leg.resume
         ts, ys, dys = leg.t[:n].tolist(), leg.y[:n].tolist(), leg.dy[:n].tolist()
     t = ts[-1]
-    y0, y1, y2, y3, y4, y5 = y = ys[-1]
-    p0, p1, p2, p3, p4, p5 = k1 = dys[-1]  # FSAL: the last accepted slope is the first stage
+    t_end = t_target - 1e-14 * max(1.0, abs(t_target))
+    y0, y1, y2, y3, y4, y5 = ys[-1]
+    p0, p1, p2, p3, p4, p5 = dys[-1]  # FSAL: the last accepted slope is the first stage
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
     b1, _, b3, b4, b5, b6 = _B5
     e1, _, e3, e4, e5, e6, e7 = _ERR
@@ -155,25 +156,25 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             q0, q1, q2, q3, q4, q5 = rhs(
                 y0 + h * (a21 * p0), y1 + h * (a21 * p1), y2 + h * (a21 * p2),
                 y3 + h * (a21 * p3), y4 + h * (a21 * p4), y5 + h * (a21 * p5), lam)
-            k3 = r0, r1, r2, r3, r4, r5 = rhs(
+            r0, r1, r2, r3, r4, r5 = rhs(
                 y0 + h * (a31 * p0 + a32 * q0), y1 + h * (a31 * p1 + a32 * q1),
                 y2 + h * (a31 * p2 + a32 * q2), y3 + h * (a31 * p3 + a32 * q3),
                 y4 + h * (a31 * p4 + a32 * q4), y5 + h * (a31 * p5 + a32 * q5), lam)
-            k4 = s0, s1, s2, s3, s4, s5 = rhs(
+            s0, s1, s2, s3, s4, s5 = rhs(
                 y0 + h * (a41 * p0 + a42 * q0 + a43 * r0),
                 y1 + h * (a41 * p1 + a42 * q1 + a43 * r1),
                 y2 + h * (a41 * p2 + a42 * q2 + a43 * r2),
                 y3 + h * (a41 * p3 + a42 * q3 + a43 * r3),
                 y4 + h * (a41 * p4 + a42 * q4 + a43 * r4),
                 y5 + h * (a41 * p5 + a42 * q5 + a43 * r5), lam)
-            k5 = v0, v1, v2, v3, v4, v5 = rhs(
+            v0, v1, v2, v3, v4, v5 = rhs(
                 y0 + h * (a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0),
                 y1 + h * (a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1),
                 y2 + h * (a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2),
                 y3 + h * (a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3),
                 y4 + h * (a51 * p4 + a52 * q4 + a53 * r4 + a54 * s4),
                 y5 + h * (a51 * p5 + a52 * q5 + a53 * r5 + a54 * s5), lam)
-            k6 = w0, w1, w2, w3, w4, w5 = rhs(
+            w0, w1, w2, w3, w4, w5 = rhs(
                 y0 + h * (a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * v0),
                 y1 + h * (a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * v1),
                 y2 + h * (a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * v2),
@@ -187,31 +188,42 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
                 y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * v3 + b6 * w3),
                 y4 + h * (b1 * p4 + b3 * r4 + b4 * s4 + b5 * v4 + b6 * w4),
                 y5 + h * (b1 * p5 + b3 * r5 + b4 * s5 + b5 * v5 + b6 * w5))
-            k7 = rhs(z0, z1, z2, z3, z4, z5, lam)
+            k7 = x0, x1, x2, x3, x4, x5 = rhs(z0, z1, z2, z3, z4, z5, lam)
         except core.NonPositiveProfile:
             err = None  # stepped over a collapse: rejected, retried at h / 4
         else:
-            # numpy's norm in its order; z[i] is NaN where y[i] is, as np.maximum needs
-            err = 0.0
-            for p, r, s, v, w, x, a, b in zip(k1, k3, k4, k5, k6, k7, map(abs, y), map(abs, z)):
-                d = (h * (e1 * p + e3 * r + e4 * s + e5 * v + e6 * w + e7 * x)
-                     / (atol + rtol * (a if a > b else b)))
-                err += d * d
-            err = math.sqrt(err / 6)
+            # numpy's norm in its order (0.0 + d0 * d0 is d0 * d0), on a_i = |y_i|
+            # and c_i = |z_i|.  A NaN in z makes its bound NaN, as np.maximum does,
+            # so that step is rejected and the event tests below see no NaN
+            a0, a1, a2, a3, a4, a5 = abs(y0), abs(y1), abs(y2), abs(y3), abs(y4), abs(y5)
+            c0, c1, c2, c3, c4, c5 = abs(z0), abs(z1), abs(z2), abs(z3), abs(z4), abs(z5)
+            d0 = (h * (e1 * p0 + e3 * r0 + e4 * s0 + e5 * v0 + e6 * w0 + e7 * x0)
+                  / (atol + rtol * (a0 if a0 > c0 else c0)))
+            d1 = (h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * v1 + e6 * w1 + e7 * x1)
+                  / (atol + rtol * (a1 if a1 > c1 else c1)))
+            d2 = (h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * v2 + e6 * w2 + e7 * x2)
+                  / (atol + rtol * (a2 if a2 > c2 else c2)))
+            d3 = (h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * v3 + e6 * w3 + e7 * x3)
+                  / (atol + rtol * (a3 if a3 > c3 else c3)))
+            d4 = (h * (e1 * p4 + e3 * r4 + e4 * s4 + e5 * v4 + e6 * w4 + e7 * x4)
+                  / (atol + rtol * (a4 if a4 > c4 else c4)))
+            d5 = (h * (e1 * p5 + e3 * r5 + e4 * s5 + e5 * v5 + e6 * w5 + e7 * x5)
+                  / (atol + rtol * (a5 if a5 > c5 else c5)))
+            err = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4 + d5 * d5) / 6)
         if err is not None and err <= 1.0:
             t += h
-            y0, y1, y2, y3, y4, y5 = y = z
-            p0, p1, p2, p3, p4, p5 = k1 = k7
+            y0, y1, y2, y3, y4, y5 = z
+            p0, p1, p2, p3, p4, p5 = k7
             ts.append(t)
             ys.append(z)
             dys.append(k7)
-            if min(y0, y1, y2) <= _COLLAPSE_FLOOR:
+            if y0 <= _COLLAPSE_FLOOR or y1 <= _COLLAPSE_FLOOR or y2 <= _COLLAPSE_FLOOR:
                 reason = "collapse_event"
                 break
-            if max(abs(y0), abs(y1), abs(y2)) >= blowup_ceiling:
+            if abs(y0) >= blowup_ceiling or abs(y1) >= blowup_ceiling or abs(y2) >= blowup_ceiling:
                 reason = "blowup_event"
                 break
-            if t >= t_target - 1e-14 * max(1.0, abs(t_target)):
+            if t >= t_end:
                 resume = resume or (len(ts) - 1, h, err_prev, n_rej)
                 reason = "reached_target"
                 break

@@ -440,8 +440,8 @@ def test_staircase_rejects_a_wrong_free_parameter_count():
     ("su2_s4", 0, "right"), ("so3_hitchin", 3, "right"),
 ])
 def test_staircase_probes_only_the_orders_it_has_reached(cid, k, side, monkeypatch):
-    # at order m the staircase reads P through order m, so it evaluates
-    # no higher order
+    # the staircase probes P at each order m that holds unknowns, and at
+    # m_stop, and there reads P through order m: it evaluates no higher order
     end = _end(cid, k, side)
     st = germs._structure(end, 8)
     seen = []
@@ -453,7 +453,10 @@ def test_staircase_probes_only_the_orders_it_has_reached(cid, k, side, monkeypat
 
     monkeypatch.setattr(germs, "_poly_residual", recorded)
     series_solve(end, [0.9, 0.7], 1.7, order=8)
-    assert seen == list(range(1, st.m_stop + 2))
+    pinned = list(st.free_slots.values())
+    held = {int(m) for m in np.delete(st.first, pinned) if m <= st.m_stop}
+    assert seen == [m + 1 for m in sorted(held | {st.m_stop})]
+    assert len(seen) < st.m_stop + 1
 
 
 def test_staircase_checks_scale_with_the_orders_reached():
@@ -466,6 +469,135 @@ def test_staircase_checks_scale_with_the_orders_reached():
     _pinned_staircase(end, {"c2,0": h, "c2,1": c, "c2,3": c23})
     with pytest.raises(GermConstructionError, match="order 3 with no unknowns"):
         _pinned_staircase(end, {"c2,0": h, "c2,1": c, "c2,3": c23 * (1 + 1e-5)})
+
+
+def test_a_deferred_check_keeps_the_scale_of_its_own_orders():
+    # pinned, c2,3 leaves order 3 with no unknowns, so the order-4 probe
+    # checks it; scaled by that probe's unsolved order 4 as well, the check
+    # would accept c2,3 1e-6 off its solved value
+    end = get_diagram("so3_s4").left
+    h, c = np.random.default_rng(777).uniform(0.4, 1.2, 2)
+    st, solved = _pinned_staircase(end, {"c2,0": h, "c2,1": c})
+    c23 = solved[st.names.index("c2,3")]
+    with pytest.raises(GermConstructionError, match="order 3 with no unknowns"):
+        _pinned_staircase(end, {"c2,0": h, "c2,1": c, "c2,3": c23 * (1 + 1e-6)})
+
+
+@pytest.mark.parametrize("cid", ["so3_s4", "su2_s4", "su2_cp2bar"])
+def test_staircase_checks_a_last_order_with_no_unknowns(cid):
+    # with every slot of order m_stop pinned to its solved value, m_stop
+    # holds no unknowns and its own probe checks it
+    end = get_diagram(cid).left
+    st = germs._structure(end, 8)
+    free = np.random.default_rng(777).uniform(0.4, 1.2, 2)
+    pins = {st.names[s]: v for s, v in zip(st.free_slots.values(), free)}
+    _, solved = _pinned_staircase(end, pins)
+    last = [st.names[s] for s in np.flatnonzero(st.first == st.m_stop)
+            if st.names[s] not in pins]
+    pins.update((name, solved[st.names.index(name)]) for name in last)
+    _pinned_staircase(end, pins)
+    pins[last[0]] *= 1 + 1e-5
+    with pytest.raises(GermConstructionError, match=f"order {st.m_stop} with no unknowns"):
+        _pinned_staircase(end, pins)
+
+
+def _staircase_every_order(st, values, determined, lam):
+    """The staircase as one probe per order 0 .. m_stop, each order with no
+    unknowns checked by its own probe."""
+    for m in range(st.m_stop + 1):
+        S_m = np.flatnonzero(~determined & (st.first == m))
+        r = germs._probe(st, values, S_m, lam, m + 1)
+        scale = max(np.max(np.abs(r[0])), 1.0)
+        rm = r[0, :, m]
+        if not S_m.size:
+            if np.max(np.abs(rm)) > germs._STAIRCASE_RTOL * scale:
+                raise GermConstructionError(
+                    f"inconsistent equations at order {m} with no unknowns left to fix")
+            continue
+        rp, rn = r[1::2, :, m], r[2::2, :, m]
+        A = 0.5 * (rp - rn).T
+        bent = S_m[np.max(np.abs(rp + rn - 2.0 * rm), axis=1) > 1e-7 * scale]
+        if bent.size:
+            raise GermConstructionError(
+                f"equations at order {m} are not linear in the order-{m} "
+                f"coefficients (nonlinear in {', '.join(st.names[s] for s in bent)}): "
+                "a free parameter may be left to the equations")
+        x, _, rank, _ = np.linalg.lstsq(A, -rm, rcond=1e-10)
+        if rank < S_m.size:
+            raise GermConstructionError(
+                f"singular linear solve at order {m} (rank {rank} < {S_m.size}): "
+                "resonance or misdeclared free parameter")
+        if np.max(np.abs(A @ x + rm)) > max(germs._STAIRCASE_RTOL * scale,
+                                             1e-6 * np.max(np.abs(rm))):
+            raise GermConstructionError(f"inconsistent linear system at order {m}")
+        values[S_m] += x
+        determined[S_m] = True
+
+
+def _germ_start_offset_scalar(germ):
+    """The hand-off search as one evaluation of the germ per offset tried."""
+    eps_grid = germs._RADIUS * np.logspace(-0.5, -3.0, 26)
+    for eps in eps_grid:
+        f, df = germ.eval(eps)
+        try:
+            rhs = core.frame_rhs(f, df, germ.lam)
+        except core.NonPositiveProfile as exc:
+            raise GermConstructionError(
+                f"germ is not positive at offset {eps:.3g}: {exc}") from exc
+        defect = np.max(np.abs(rhs - germ.eval_second(eps))) / (1.0 + np.max(np.abs(rhs)))
+        if defect < germs._DEFECT_TARGET:
+            return float(eps)
+    raise GermConstructionError(
+        f"no hand-off offset down to {eps_grid[-1]:.3g} meets the defect target "
+        f"{germs._DEFECT_TARGET:.3g}")
+
+
+def _germ_outcome(end, free, order):
+    """Coefficient bytes and hand-off offset, with the message of whichever
+    step raised in place of what it would have given."""
+    try:
+        germ = series_solve(end, free, 3.0, order=order)
+    except GermConstructionError as exc:
+        return str(exc), None
+    try:
+        return germ.coeffs.tobytes(), germ_start_offset(germ)
+    except GermConstructionError as exc:
+        return germ.coeffs.tobytes(), str(exc)
+
+
+def test_germs_match_the_every_order_staircase_and_scalar_hand_off(monkeypatch):
+    # every catalog end, so3_hitchin k <= 6 included, at its shipped free
+    # values (the k = 3 ones for k > 3) and 12 seeded points within 25% of
+    # them, plus two germs that fail: bit for bit, or the same message
+    shipped = {}
+    for d in diagram_catalog() + [get_diagram("so3_hitchin", k) for k in (4, 5, 6)]:
+        g = initial_guess(d.case_id, min(d.k, 3))
+        for end, free in ((d.left, g[:2]), (d.right, g[2:4])):
+            shipped.setdefault(end, free)
+    rng = np.random.default_rng(28)
+    cases = [(get_diagram("so3_s4").left, [0.2, -2.0], 8),
+             (get_diagram("su2_s4").left, [-1 / 6, -1 / 6], 4)]
+    for end, free in shipped.items():
+        cases.append((end, free, 8))
+        for _ in range(12):
+            scale = rng.uniform(-0.25, 0.25, 2)
+            cases.append((end, np.where(free != 0.0, free * (1 + scale), scale), 8))
+    got = [_germ_outcome(*case) for case in cases]
+    monkeypatch.setattr(germs, "_staircase", _staircase_every_order)
+    monkeypatch.setattr(germs, "germ_start_offset", _germ_start_offset_scalar)
+    want = [_germ_outcome(*case) for case in cases]
+    assert got == want
+    assert sum(isinstance(o, str) for _, o in got) == 2
+
+
+def test_the_hand_off_grid_rows_are_the_scalar_evaluations():
+    germ = series_solve(get_diagram("su2_cp2bar").left, initial_guess("su2_cp2bar")[:2], 3.0)
+    grid = germs._RADIUS * np.logspace(-0.5, -3.0, 26)
+    (f, df), dd = germ.eval(grid), germ.eval_second(grid)
+    for i, eps in enumerate(grid):
+        fs, dfs = germ.eval(eps)
+        assert (f[i].tobytes(), df[i].tobytes(), dd[i].tobytes()) == (
+            fs.tobytes(), dfs.tobytes(), germ.eval_second(eps).tobytes())
 
 
 # ---------------------------------------------------------------------------

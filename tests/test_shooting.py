@@ -138,6 +138,21 @@ def test_failed_shots_say_why():
     assert shot.failure == "germ" and np.all(shot.residual == 1e3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case_id,k", [(c, 0) for c in CASES]
+                         + [("so3_hitchin", k) for k in (2, 3)])
+def test_a_huge_germ_parameter_is_a_failed_shot(capfd, case_id, k):
+    # the staircase's products overflow: a germ failure, raised before
+    # LAPACK sees a non-finite probe, with no warning and nothing on stderr
+    pr = _problem(case_id, k)
+    for i in range(4):
+        for big in (1e80, 1e200, 1e308):
+            u = initial_guess(case_id, k)
+            u[i] = big
+            assert shooting.shoot(pr, u).failure in ("germ", "inadmissible"), (i, big)
+    assert capfd.readouterr().err == ""
+
+
 def test_solve_names_the_failure_it_stalls_on():
     # no hand-off offset of an order-5 Page germ meets the 1e-11 defect target
     pr = ShootingProblem(get_diagram("su2_cp2bar"), germ_order=5)
