@@ -11,6 +11,7 @@ coerced and checked where they enter; derived triples (L, R, A, B, a, b)
 arrive as arrays.  Every function here is pure; nothing is mutated.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,26 +80,23 @@ def lr_rhs(L, R, lam):
     return dL, dR
 
 
-def _frame_rhs(f1, f2, f3, d1, d2, d3, lam):
-    # lr_from_frame and lr_rhs unrolled over one state, in their operation order
-    L1, L2, L3 = d1 / f1, d2 / f2, d3 / f3
-    R1, R2, R3 = f1 / (f2 * f3), f2 / (f3 * f1), f3 / (f1 * f2)
-    S = L1 + L2 + L3
-    e1, e2, e3 = R2 - R3, R3 - R1, R1 - R2
-    return (d1, d2, d3, f1 * (-S * L1 + 2.0 * (R1 * R1) - 2.0 * (e1 * e1) - lam + L1 * L1),
-            f2 * (-S * L2 + 2.0 * (R2 * R2) - 2.0 * (e2 * e2) - lam + L2 * L2),
-            f3 * (-S * L3 + 2.0 * (R3 * R3) - 2.0 * (e3 * e3) - lam + L3 * L3))
-
-
 def frame_slope(f1, f2, f3, d1, d2, d3, lam):
-    """Slope (f', f'') of one state (f, f'), six Python floats, as six floats; an
-    f_j f_k that underflows to 0 is redone on np.float64 for numpy's inf/nan."""
+    """Slope (f', f'') of one state (f, f'), six Python floats, as six floats:
+    lr_from_frame and lr_rhs unrolled over one state, in their operation order.
+    An f_j f_k that underflows to 0 gives R_i = inf, numpy's f_i / 0.0."""
     if f1 <= 0.0 or f2 <= 0.0 or f3 <= 0.0:
         _check_positive((f1, f2, f3))
+    L1, L2, L3 = d1 / f1, d2 / f2, d3 / f3
     try:
-        return _frame_rhs(f1, f2, f3, d1, d2, d3, lam)
+        R1, R2, R3 = f1 / (f2 * f3), f2 / (f3 * f1), f3 / (f1 * f2)
     except ZeroDivisionError:
-        return tuple(map(float, _frame_rhs(*map(np.float64, (f1, f2, f3, d1, d2, d3)), lam)))
+        R1, R2, R3 = (f / q if q else f * math.inf
+                      for f, q in ((f1, f2 * f3), (f2, f3 * f1), (f3, f1 * f2)))
+    nS = -(L1 + L2 + L3)
+    e1, e2, e3 = R2 - R3, R3 - R1, R1 - R2
+    return (d1, d2, d3, f1 * (nS * L1 + 2.0 * (R1 * R1) - 2.0 * (e1 * e1) - lam + L1 * L1),
+            f2 * (nS * L2 + 2.0 * (R2 * R2) - 2.0 * (e2 * e2) - lam + L2 * L2),
+            f3 * (nS * L3 + 2.0 * (R3 * R3) - 2.0 * (e3 * e3) - lam + L3 * L3))
 
 
 def frame_rhs(f, df, lam):

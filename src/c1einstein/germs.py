@@ -340,25 +340,30 @@ def _staircase(st, values, determined, lam):
     P is probed only at orders that hold unknowns and at m_stop.  An order with
     none is checked from row 0 of the next probe, at the scale of the orders
     through it: no slot solved since moves an order of P below its first."""
+    pending = np.flatnonzero(~determined)
+    groups = {}  # the pending slots by the first order they move, ascending
+    for s, m in zip(pending.tolist(), st.first[pending].tolist()):
+        groups.setdefault(m, []).append(s)
     unchecked = 0  # the first order neither checked nor solved
     for m in range(st.m_stop + 1):
-        S_m = np.flatnonzero(~determined & (st.first == m))
-        if not S_m.size and m < st.m_stop:
+        if m not in groups and m < st.m_stop:
             continue
+        S_m = np.array(groups.get(m, ()), dtype=np.intp)
         # orders <= m only: an order of P depends on no higher one, and
         # _pmul's sums keep their bits when its trailing orders are cut
         r = _probe(st, values, S_m, lam, m + 1)
         if not np.isfinite(r).all():
             raise GermConstructionError(f"germ residual is not finite at order {m}")
+        r0 = np.abs(r[0])  # |P| at the slot values
         for j in range(unchecked, m if S_m.size else m + 1):
-            scale = max(np.max(np.abs(r[0, :, :j + 1])), 1.0)
-            if np.max(np.abs(r[0, :, j])) > _STAIRCASE_RTOL * scale:
+            scale = max(r0[:, :j + 1].max(), 1.0)
+            if r0[:, j].max() > _STAIRCASE_RTOL * scale:
                 raise GermConstructionError(
                     f"inconsistent equations at order {j} with no unknowns left to fix")
         unchecked = m + 1
         if not S_m.size:
             return
-        scale = max(np.max(np.abs(r[0])), 1.0)
+        scale = max(r0.max(), 1.0)
         rm = r[0, :, m]
         rp = r[1::2, :, m]
         rn = r[2::2, :, m]
@@ -376,7 +381,7 @@ def _staircase(st, values, determined, lam):
                 f"singular linear solve at order {m} (rank {rank} < {S_m.size}): "
                 "resonance or misdeclared free parameter"
             )
-        if np.max(np.abs(A @ x + rm)) > max(_STAIRCASE_RTOL * scale, 1e-6 * np.max(np.abs(rm))):
+        if np.abs(A @ x + rm).max() > max(_STAIRCASE_RTOL * scale, 1e-6 * r0[:, m].max()):
             raise GermConstructionError(f"inconsistent linear system at order {m}")
         values[S_m] += x
         determined[S_m] = True

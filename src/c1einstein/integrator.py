@@ -12,6 +12,7 @@ kept as the last sample, and the crossing time is not refined further.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -85,12 +86,13 @@ class Trajectory:
         dt = np.where(t1 > t0, t1 - t0, 1.0)
         h = dt[:, None]
         s = ((ts - t0) / dt)[:, None]
+        s2, s3 = s**2, s**3
         y0, y1 = self.y[idx], self.y[idx + 1]
         m0, m1 = self.dy[idx] * h, self.dy[idx + 1] * h
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
+        h00 = 2 * s3 - 3 * s2 + 1
+        h10 = s3 - 2 * s2 + s
+        h01 = -2 * s3 + 3 * s2
+        h11 = s3 - s2
         y = h00 * y0 + h10 * m0 + h01 * y1 + h11 * m1
         return y[:, :3], y[:, 3:]
 
@@ -121,7 +123,9 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
     The state and each stage are six named Python floats, and each tableau
     sum is written out, its terms added left to right in stage order with no
     list, zip or unpacking per stage, so a leg has the same bits on every CPU.
-    Each stage is one call of ``core.frame_slope``, looked up once per call."""
+    Each stage is one call of ``core.frame_slope``, looked up once per call.
+    The bookkeeping calls no builtin: a_i = |y_i| is the last accepted step's
+    c_i = |z_i|, and the clamps are conditionals with min's and max's semantics."""
     if t_target <= t0:
         raise ValueError("t_target must exceed t0")
     check_tolerances(rtol, atol)
@@ -143,15 +147,18 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
     t = ts[-1]
     t_end = t_target - 1e-14 * max(1.0, abs(t_target))
     y0, y1, y2, y3, y4, y5 = ys[-1]
+    a0, a1, a2, a3, a4, a5 = abs(y0), abs(y1), abs(y2), abs(y3), abs(y4), abs(y5)
     p0, p1, p2, p3, p4, p5 = dys[-1]  # FSAL: the last accepted slope is the first stage
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
     b1, _, b3, b4, b5, b6 = _B5
     e1, _, e3, e4, e5, e6, e7 = _ERR
     resume, reason = None, "step_failure"
-    while len(ts) - 1 + n_rej < _MAX_STEPS:
-        if resume is None and t_target - t < h:
-            resume = (len(ts), h, err_prev, n_rej)
-        h = min(h, t_target - t)
+    sqrt, max_steps = math.sqrt, _MAX_STEPS
+    while len(ts) - 1 + n_rej < max_steps:
+        left = t_target - t
+        if left < h:
+            resume = resume or (len(ts), h, err_prev, n_rej)
+            h = left
         try:
             q0, q1, q2, q3, q4, q5 = rhs(
                 y0 + h * (a21 * p0), y1 + h * (a21 * p1), y2 + h * (a21 * p2),
@@ -195,7 +202,6 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             # numpy's norm in its order (0.0 + d0 * d0 is d0 * d0), on a_i = |y_i|
             # and c_i = |z_i|.  A NaN in z makes its bound NaN, as np.maximum does,
             # so that step is rejected and the event tests below see no NaN
-            a0, a1, a2, a3, a4, a5 = abs(y0), abs(y1), abs(y2), abs(y3), abs(y4), abs(y5)
             c0, c1, c2, c3, c4, c5 = abs(z0), abs(z1), abs(z2), abs(z3), abs(z4), abs(z5)
             d0 = (h * (e1 * p0 + e3 * r0 + e4 * s0 + e5 * v0 + e6 * w0 + e7 * x0)
                   / (atol + rtol * (a0 if a0 > c0 else c0)))
@@ -209,10 +215,11 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
                   / (atol + rtol * (a4 if a4 > c4 else c4)))
             d5 = (h * (e1 * p5 + e3 * r5 + e4 * s5 + e5 * v5 + e6 * w5 + e7 * x5)
                   / (atol + rtol * (a5 if a5 > c5 else c5)))
-            err = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4 + d5 * d5) / 6)
+            err = sqrt((d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4 + d5 * d5) / 6)
         if err is not None and err <= 1.0:
             t += h
             y0, y1, y2, y3, y4, y5 = z
+            a0, a1, a2, a3, a4, a5 = c0, c1, c2, c3, c4, c5
             p0, p1, p2, p3, p4, p5 = k7
             ts.append(t)
             ys.append(z)
@@ -220,7 +227,7 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             if y0 <= _COLLAPSE_FLOOR or y1 <= _COLLAPSE_FLOOR or y2 <= _COLLAPSE_FLOOR:
                 reason = "collapse_event"
                 break
-            if abs(y0) >= blowup_ceiling or abs(y1) >= blowup_ceiling or abs(y2) >= blowup_ceiling:
+            if a0 >= blowup_ceiling or a1 >= blowup_ceiling or a2 >= blowup_ceiling:
                 reason = "blowup_event"
                 break
             if t >= t_end:
@@ -230,15 +237,17 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
             # PI controller; an exact step (err = 0, where the power would
             # divide by zero) takes the largest growth
             fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0.0 else 5.0
-            err_prev = max(err, 1e-10)
-            h *= min(5.0, max(0.2, fac))
+            err_prev = err if err >= 1e-10 else 1e-10
+            h *= 5.0 if fac >= 5.0 else (fac if fac > 0.2 else 0.2)
         else:
             n_rej += 1
             h *= 0.25 if err is None else min(1.0, max(0.2, 0.9 * err ** -0.2))
             if not h >= 1e-14 * max(1.0, abs(t)):  # NaN too, from a non-finite slope
                 break
-    return Trajectory(np.array(ts), np.array(ys), np.array(dys), lam,
-                      reason, n_rej, resume)
+    n = len(ts)  # rows of six floats, tuples or lists, packed without boxing each row
+    y, dy = (np.fromiter(chain.from_iterable(rows), float, 6 * n).reshape(n, 6)
+             for rows in (ys, dys))
+    return Trajectory(np.array(ts), y, dy, lam, reason, n_rej, resume)
 
 
 class HandoffError(ValueError):

@@ -7,6 +7,7 @@ first integral and the second-order equations by finite differences.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,39 @@ def test_frame_rhs_overflow_values():
     for rhs in RHS_FORMS:
         out = rhs((1e200, 1e200, 1e-100), (1e200, 1.0, 1.0), 3.0)
         assert np.array_equal(out, [-2e200, -3e200, 0.0])
+
+
+def _slope_on_float64(f1, f2, f3, d1, d2, d3, lam):
+    # the reference: the unrolled law with every operation on np.float64,
+    # where f_i / 0.0 is numpy's inf (or nan) instead of an exception
+    f1, f2, f3, d1, d2, d3 = map(np.float64, (f1, f2, f3, d1, d2, d3))
+    with np.errstate(all="ignore"):
+        L1, L2, L3 = d1 / f1, d2 / f2, d3 / f3
+        R1, R2, R3 = f1 / (f2 * f3), f2 / (f3 * f1), f3 / (f1 * f2)
+        S = L1 + L2 + L3
+        e1, e2, e3 = R2 - R3, R3 - R1, R1 - R2
+        return (d1, d2, d3, f1 * (-S * L1 + 2.0 * (R1 * R1) - 2.0 * (e1 * e1) - lam + L1 * L1),
+                f2 * (-S * L2 + 2.0 * (R2 * R2) - 2.0 * (e2 * e2) - lam + L2 * L2),
+                f3 * (-S * L3 + 2.0 * (R3 * R3) - 2.0 * (e3 * e3) - lam + L3 * L3))
+
+
+def test_frame_slope_matches_the_float64_law_at_the_edges():
+    # underflowing, subnormal, huge and non-finite components mixed with
+    # normal ones: the Python-float law gives numpy's values, with no
+    # warning, finite outputs equal and NaNs in the same places
+    edge = [1e-200, 1e-170, 1e-160, 5e-324, 1e200, np.nan, np.inf]
+    rng = np.random.default_rng(7)
+    f_pool = edge + [0.3, 1.0, 2.5]
+    df_pool = edge + [-x for x in edge[:5]] + [0.0, -1.5, 0.7, 2.0]
+    for _ in range(3000):
+        state = [float(rng.choice(f_pool)) for _ in range(3)]
+        state += [float(rng.choice(df_pool)) for _ in range(3)]
+        lam = float(rng.choice([-3.0, 0.0, 3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = core.frame_slope(*state, lam)
+        assert all(type(v) is float for v in out)
+        assert np.array_equal(out, _slope_on_float64(*state, lam), equal_nan=True), state
 
 
 def test_frame_rhs_accepts_lists():

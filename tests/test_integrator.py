@@ -343,6 +343,29 @@ def test_a_start_with_no_finite_slope_ends_at_once(monkeypatch, f0, df0, t0, t1)
         assert not calls
 
 
+def test_an_underflowing_start_ends_at_once_without_a_warning():
+    # f_j f_k underflows to 0 at the first slope: the law runs on in floats
+    # with R_i = inf, so no RuntimeWarning is raised; the NaN step size ends
+    # the leg as a one-sample step failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_frame((1e-170,) * 3, (0.0, 0.0, 0.0), 0.0, 1.0, 3.0)
+    assert (traj.reason, len(traj.t), traj.n_rejected) == ("step_failure", 1, 1)
+    assert np.all(np.isnan(traj.dy[0, 3:]))
+
+
+def test_a_legs_samples_are_packed_read_only_float_rows():
+    prof = oracle("round_su2", lam=3.0)
+    short = integrate_frame(prof.f(0.3), prof.df(0.3), 0.3, 1.0, 3.0)
+    legs = [short, integrate_frame(prof.f(0.3), prof.df(0.3), 0.3, 2.0, 3.0, leg=short),
+            integrate_frame((1e-170,) * 3, (0.0, 0.0, 0.0), 0.0, 1.0, 3.0)]
+    assert short.resume is not None and len(legs[1].t) > len(short.t) and len(legs[2].t) == 1
+    for leg in legs:
+        for a in (leg.y, leg.dy):
+            assert a.dtype == np.float64 and a.shape == (len(leg.t), 6)
+            assert a.flags.c_contiguous and not a.flags.writeable
+
+
 def test_tolerance_scaling():
     # error should fall steeply as rtol is tightened
     prof = oracle("round_su2", lam=3.0)

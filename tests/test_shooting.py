@@ -608,7 +608,7 @@ def test_page_reference_residual_at_the_shipped_guess():
         lam = mpmath.mpf(pr.lam)
         for leg, reach in zip(shot.legs, shot.reach):
             if id(leg) not in ends:
-                ref = mpmath.odefun(lambda t, y: [*core._frame_rhs(*y, lam)],
+                ref = mpmath.odefun(lambda t, y: [*core.frame_slope(*y, lam)],
                                     mpmath.mpf(leg.t[0]), [mpmath.mpf(v) for v in leg.y[0]],
                                     tol=mpmath.mpf("1e-25"), degree=30)
                 ends[id(leg)] = ref(mpmath.mpf(reach))
