@@ -249,7 +249,7 @@ def _structure(end: EndCondition, order: int) -> _Structure:
     L = N + 4  # Taylor orders of P in use
     # the first Taylor order of P each slot affects, at a generic point
     g = np.random.default_rng(12345).uniform(0.3, 1.1, size=len(names))
-    r = _probe(st, g, range(len(names)), _LAM_GENERIC, L)
+    r = _probe(st, g[None], np.arange(len(names)), _LAM_GENERIC, L)[0]
     scale = max(np.max(np.abs(r[0])), 1.0)
     hit = np.abs(r[1::2] - r[0]).max(axis=1) > 1e-9 * scale  # (slots, L)
     absent = ~hit.any(axis=1)
@@ -270,13 +270,13 @@ def _apply(st: _Structure, values) -> np.ndarray:
 
 def _probe(st: _Structure, values, slots, lam, L) -> np.ndarray:
     """Taylor orders 0 .. L-1 of the residual P, shape
-    (1 + 2 len(slots), 3, L), in one batched call: row 0 at the slot
-    values, rows 1 + 2j and 2 + 2j with slot j moved by +1 and -1."""
-    slots = np.asarray(slots, dtype=int)
-    probes = np.tile(values, (1 + 2 * len(slots), 1))
+    (rows, 1 + 2 len(slots), 3, L) for slot values (rows, slots) and an
+    index array of slots, in one batched call: probe 0 at a row's slot
+    values, probes 1 + 2j and 2 + 2j with slot j moved by +1 and -1."""
     j = np.arange(len(slots))
-    probes[1 + 2 * j, slots] += 1.0
-    probes[2 + 2 * j, slots] -= 1.0
+    probes = np.repeat(values[:, None], 1 + 2 * len(j), axis=1)
+    probes[:, 1 + 2 * j, slots] += 1.0
+    probes[:, 2 + 2 * j, slots] -= 1.0
     return _poly_residual(_apply(st, probes), lam, L)
 
 
@@ -286,11 +286,12 @@ def _probe(st: _Structure, values, slots, lam, L) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _toeplitz(la, lb, L):
-    """Gather indices n - p into b and the mask 0 <= n - p < lb, for rows
-    p < la and output orders n < L; cached and shared, so read-only."""
+    """Gather indices n - p into b and the mask of the cells outside
+    0 <= n - p < lb, for rows p < la and output orders n < L; cached and
+    shared, so read-only."""
     n = np.arange(L) - np.arange(la)[:, None]
-    mask = (n >= 0) & (n < lb)
-    return np.where(mask, n, 0), mask
+    inside = (n >= 0) & (n < lb)
+    return np.where(inside, n, 0), ~inside
 
 
 def _pmul(a, b, L):
@@ -302,9 +303,10 @@ def _pmul(a, b, L):
     hold +0.0 in place of a product, and adding +0.0 to a sum that started
     at +0.0 changes no bit, not even the sign of a zero."""
     la = min(a.shape[-1], L)
-    idx, mask = _toeplitz(la, b.shape[-1], L)
-    prod = np.zeros(a.shape[:-1] + (la, L))
-    np.multiply(a[..., :la, None], b[..., idx], out=prod, where=mask)
+    idx, outside = _toeplitz(la, b.shape[-1], L)
+    prod = b[..., idx]  # the gather is a copy: one block, multiplied in place
+    np.multiply(a[..., :la, None], prod, out=prod)
+    prod[..., outside] = 0.0
     return np.add.reduce(prod, axis=-2, initial=0.0)
 
 
@@ -335,11 +337,14 @@ def _poly_residual(c, lam, L):
 # a huge finite parameter overflows the products: raised below as a germ error
 @np.errstate(over="ignore", invalid="ignore")
 def _staircase(st, values, determined, lam):
-    """Solve dependent slots order by order in place, through order m_stop:
-    each wanted slot moves an order <= m_stop, so it ends determined or this raises.
-    P is probed only at orders that hold unknowns and at m_stop.  An order with
-    none is checked from row 0 of the next probe, at the scale of the orders
-    through it: no slot solved since moves an order of P below its first."""
+    """Solve dependent slots order by order in place, through order m_stop,
+    for slot values (rows, slots) that share which slots are determined:
+    each row is solved and checked as it would be alone, and any row that
+    fails raises.  Each wanted slot moves an order <= m_stop, so it
+    ends determined or this raises.  P is probed only at orders that hold
+    unknowns and at m_stop.  An order with none is checked from row 0 of the
+    next probe, at the scale of the orders through it: no slot solved since
+    moves an order of P below its first."""
     pending = np.flatnonzero(~determined)
     groups = {}  # the pending slots by the first order they move, ascending
     for s, m in zip(pending.tolist(), st.first[pending].tolist()):
@@ -351,39 +356,42 @@ def _staircase(st, values, determined, lam):
         S_m = np.array(groups.get(m, ()), dtype=np.intp)
         # orders <= m only: an order of P depends on no higher one, and
         # _pmul's sums keep their bits when its trailing orders are cut
-        r = _probe(st, values, S_m, lam, m + 1)
+        r = _probe(st, values, S_m, lam, m + 1)  # (rows, probes, 3, m + 1)
         if not np.isfinite(r).all():
             raise GermConstructionError(f"germ residual is not finite at order {m}")
-        r0 = np.abs(r[0])  # |P| at the slot values
-        for j in range(unchecked, m if S_m.size else m + 1):
-            scale = max(r0[:, :j + 1].max(), 1.0)
-            if r0[:, j].max() > _STAIRCASE_RTOL * scale:
+        for row, r_row in zip(values, r):  # each row as it would be alone
+            r0 = np.abs(r_row[0])  # |P| at the slot values
+            for j in range(unchecked, m if S_m.size else m + 1):
+                scale = max(r0[:, :j + 1].max(), 1.0)
+                if r0[:, j].max() > _STAIRCASE_RTOL * scale:
+                    raise GermConstructionError(
+                        f"inconsistent equations at order {j} with no unknowns left to fix")
+            if not S_m.size:
+                continue
+            scale = max(r0.max(), 1.0)
+            rm = r_row[0, :, m]
+            rp = r_row[1::2, :, m]
+            rn = r_row[2::2, :, m]
+            A = 0.5 * (rp - rn).T  # (3, |S_m|)
+            curv = np.max(np.abs(rp + rn - 2.0 * rm), axis=1)  # per slot
+            bent = S_m[curv > 1e-7 * scale]
+            if bent.size:
                 raise GermConstructionError(
-                    f"inconsistent equations at order {j} with no unknowns left to fix")
+                    f"equations at order {m} are not linear in the order-{m} "
+                    f"coefficients (nonlinear in {', '.join(st.names[s] for s in bent)}): "
+                    "a free parameter may be left to the equations")
+            x, _, rank, _ = np.linalg.lstsq(A, -rm, rcond=1e-10)
+            if rank < S_m.size:
+                raise GermConstructionError(
+                    f"singular linear solve at order {m} (rank {rank} < {S_m.size}): "
+                    "resonance or misdeclared free parameter"
+                )
+            if np.abs(A @ x + rm).max() > max(_STAIRCASE_RTOL * scale, 1e-6 * r0[:, m].max()):
+                raise GermConstructionError(f"inconsistent linear system at order {m}")
+            row[S_m] += x
         unchecked = m + 1
         if not S_m.size:
             return
-        scale = max(r0.max(), 1.0)
-        rm = r[0, :, m]
-        rp = r[1::2, :, m]
-        rn = r[2::2, :, m]
-        A = 0.5 * (rp - rn).T  # (3, |S_m|)
-        curv = np.max(np.abs(rp + rn - 2.0 * rm), axis=1)  # per slot
-        bent = S_m[curv > 1e-7 * scale]
-        if bent.size:
-            raise GermConstructionError(
-                f"equations at order {m} are not linear in the order-{m} "
-                f"coefficients (nonlinear in {', '.join(st.names[s] for s in bent)}): "
-                "a free parameter may be left to the equations")
-        x, _, rank, _ = np.linalg.lstsq(A, -rm, rcond=1e-10)
-        if rank < S_m.size:
-            raise GermConstructionError(
-                f"singular linear solve at order {m} (rank {rank} < {S_m.size}): "
-                "resonance or misdeclared free parameter"
-            )
-        if np.abs(A @ x + rm).max() > max(_STAIRCASE_RTOL * scale, 1e-6 * r0[:, m].max()):
-            raise GermConstructionError(f"inconsistent linear system at order {m}")
-        values[S_m] += x
         determined[S_m] = True
 
 
@@ -422,36 +430,36 @@ class SeriesGerm:
         return np.sum(dd * powers, axis=-1)
 
 
-def series_solve(end: EndCondition, free, lam, order=8) -> SeriesGerm:
+def series_solve(end: EndCondition, free, lam, order=8):
     """Construct the Taylor germ with the given free-parameter values.
 
     free: mapping of the end's free parameter names to values, or a sequence
-    in the order of end.free.
+    in the order of end.free; or a 2-D array of such sequences, whose germs
+    come back as a tuple from one staircase over the rows, each the germ its
+    row builds alone, bit for bit.
     """
     if order < 4:
         raise ValueError("germ order must be at least 4")
-    if not isinstance(free, dict):
-        free = dict(zip(end.free, free))
-    if set(free) != set(end.free):
-        raise ValueError(f"free parameters {set(end.free)} required, got {set(free)}")
     if not np.isfinite(lam):
         raise ValueError(f"Einstein constant must be finite, got lam = {lam}")
-    for name, v in free.items():
-        if not np.isfinite(v):
-            raise ValueError(f"germ parameter {name} must be finite, got {v}")
-    for name in ("h", "q"):
-        if name in free and free[name] <= 0.0:
-            raise ValueError(f"germ parameter {name} must be positive, got {free[name]}")
-
+    frees = free if np.ndim(free) == 2 else [free]  # a batch, or one germ's values
     st = _structure(end, order)
-    values = np.zeros(len(st.names))
+    values = np.zeros((len(frees), len(st.names)))
     determined = np.zeros(len(st.names), dtype=bool)
-    for name, s in st.free_slots.items():
-        values[s] = free[name]
-        determined[s] = True
+    for row, f in zip(values, frees):
+        f = f if isinstance(f, dict) else dict(zip(end.free, f))
+        if set(f) != set(end.free):
+            raise ValueError(f"free parameters {set(end.free)} required, got {set(f)}")
+        for name, v in f.items():
+            if not np.isfinite(v):
+                raise ValueError(f"germ parameter {name} must be finite, got {v}")
+            if name in ("h", "q") and v <= 0.0:
+                raise ValueError(f"germ parameter {name} must be positive, got {v}")
+            row[st.free_slots[name]] = v
+    determined[list(st.free_slots.values())] = True
     _staircase(st, values, determined, lam)
-    coeffs = _apply(st, values)[:, : order + 1]
-    return SeriesGerm(lam, order, coeffs)
+    germs = tuple(SeriesGerm(lam, order, _apply(st, v)[:, : order + 1]) for v in values)
+    return germs if frees is free else germs[0]
 
 
 # relative equation defect a germ must reach at its hand-off offset; it lies

@@ -53,10 +53,14 @@ class Trajectory:
     # loop state (samples kept, h, err_prev, n_rejected) at the first step
     # that read the target, from which integrate_frame continues the leg
     resume: Optional[tuple] = None
+    # (n - 1,) accepted step sizes, which integrate_frame replays; None on
+    # a trajectory assembled from legs
+    steps: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for a in (self.t, self.y, self.dy):
-            a.flags.writeable = False
+        for a in (self.t, self.y, self.dy, self.steps):
+            if a is not None:
+                a.flags.writeable = False
 
     @property
     def n_accepted(self):
@@ -114,11 +118,18 @@ def check_tolerances(rtol, atol):
 
 
 def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
-                    blowup_ceiling=1e6, leg=None) -> Trajectory:
+                    blowup_ceiling=1e6, leg=None, steps=None) -> Trajectory:
     """Integrate the frame system forward from (f0, df0) at t0 to t_target,
     or continue ``leg``, a run of the same start and options to an earlier
     target, from ``leg.resume``: no sample before it depends on the target, so
     the result is a fresh run's, bit for bit.
+
+    With ``steps``, a replay: take exactly those step sizes, as a leg's
+    ``steps`` records them, with no error norm, no controller and no retry.
+    A stage that meets a nonpositive profile or a non-finite state ends the
+    replay as a step failure, and so does running out of steps short of the
+    target.  So the replay of a leg's own start and steps is that leg, bit
+    for bit, and a replay from a nearby start takes the leg's sample times.
 
     The state and each stage are six named Python floats, and each tableau
     sum is written out, its terms added left to right in stage order with no
@@ -129,22 +140,31 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
     if t_target <= t0:
         raise ValueError("t_target must exceed t0")
     check_tolerances(rtol, atol)
+    if leg is not None and steps is not None:
+        raise ValueError("a leg is either continued or replayed, not both")
     y = [*map(float, f0), *map(float, df0)]
     if not all(map(math.isfinite, (*y, t0, t_target))):
         raise ValueError("the start (f0, df0) and the times must be finite, "
                          f"got {y}, t0 = {t0}, t_target = {t_target}")
     rhs = core.frame_slope
+    max_steps = _MAX_STEPS
+    replay = steps is not None
+    if replay:
+        steps = [*map(float, steps)]
+        max_steps = len(steps)
+    # the accepted step sizes; the sample times are their running sums from t0
     if leg is None:
-        ts, ys, dys = [float(t0)], [y], [rhs(*y, lam)]
-        # initial step from the slope scale
-        h = float(1e-3 * (1 + np.max(np.abs(y))) / (1 + np.max(np.abs(dys[0]))))
+        t, hs, ys, dys = float(t0), [], [y], [rhs(*y, lam)]
+        # a replay's first step, or one from the slope scale
+        h = steps[0] if replay and steps else float(
+            1e-3 * (1 + np.max(np.abs(y))) / (1 + np.max(np.abs(dys[0]))))
         err_prev, n_rej = 1.0, 0
     elif leg.resume is None:
         return leg  # it never read its target
     else:
         n, h, err_prev, n_rej = leg.resume
-        ts, ys, dys = leg.t[:n].tolist(), leg.y[:n].tolist(), leg.dy[:n].tolist()
-    t = ts[-1]
+        t, hs = float(leg.t[n - 1]), leg.steps[:n - 1].tolist()
+        ys, dys = leg.y[:n].tolist(), leg.dy[:n].tolist()
     t_end = t_target - 1e-14 * max(1.0, abs(t_target))
     y0, y1, y2, y3, y4, y5 = ys[-1]
     a0, a1, a2, a3, a4, a5 = abs(y0), abs(y1), abs(y2), abs(y3), abs(y4), abs(y5)
@@ -153,11 +173,11 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
     b1, _, b3, b4, b5, b6 = _B5
     e1, _, e3, e4, e5, e6, e7 = _ERR
     resume, reason = None, "step_failure"
-    sqrt, max_steps = math.sqrt, _MAX_STEPS
-    while len(ts) - 1 + n_rej < max_steps:
+    sqrt, isfinite = math.sqrt, math.isfinite
+    while len(hs) + n_rej < max_steps:
         left = t_target - t
         if left < h:
-            resume = resume or (len(ts), h, err_prev, n_rej)
+            resume = resume or (len(hs) + 1, h, err_prev, n_rej)
             h = left
         try:
             q0, q1, q2, q3, q4, q5 = rhs(
@@ -199,29 +219,33 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
         except core.NonPositiveProfile:
             err = None  # stepped over a collapse: rejected, retried at h / 4
         else:
-            # numpy's norm in its order (0.0 + d0 * d0 is d0 * d0), on a_i = |y_i|
-            # and c_i = |z_i|.  A NaN in z makes its bound NaN, as np.maximum does,
-            # so that step is rejected and the event tests below see no NaN
             c0, c1, c2, c3, c4, c5 = abs(z0), abs(z1), abs(z2), abs(z3), abs(z4), abs(z5)
-            d0 = (h * (e1 * p0 + e3 * r0 + e4 * s0 + e5 * v0 + e6 * w0 + e7 * x0)
-                  / (atol + rtol * (a0 if a0 > c0 else c0)))
-            d1 = (h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * v1 + e6 * w1 + e7 * x1)
-                  / (atol + rtol * (a1 if a1 > c1 else c1)))
-            d2 = (h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * v2 + e6 * w2 + e7 * x2)
-                  / (atol + rtol * (a2 if a2 > c2 else c2)))
-            d3 = (h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * v3 + e6 * w3 + e7 * x3)
-                  / (atol + rtol * (a3 if a3 > c3 else c3)))
-            d4 = (h * (e1 * p4 + e3 * r4 + e4 * s4 + e5 * v4 + e6 * w4 + e7 * x4)
-                  / (atol + rtol * (a4 if a4 > c4 else c4)))
-            d5 = (h * (e1 * p5 + e3 * r5 + e4 * s5 + e5 * v5 + e6 * w5 + e7 * x5)
-                  / (atol + rtol * (a5 if a5 > c5 else c5)))
-            err = sqrt((d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4 + d5 * d5) / 6)
+            if replay:
+                # a replay keeps every step it is given that stays finite
+                err = 0.0 if isfinite(c0 + c1 + c2 + c3 + c4 + c5) else None
+            else:
+                # numpy's norm in its order (0.0 + d0 * d0 is d0 * d0), on a_i = |y_i|
+                # and c_i = |z_i|.  A NaN in z makes its bound NaN, as np.maximum does,
+                # so that step is rejected and the event tests below see no NaN
+                d0 = (h * (e1 * p0 + e3 * r0 + e4 * s0 + e5 * v0 + e6 * w0 + e7 * x0)
+                      / (atol + rtol * (a0 if a0 > c0 else c0)))
+                d1 = (h * (e1 * p1 + e3 * r1 + e4 * s1 + e5 * v1 + e6 * w1 + e7 * x1)
+                      / (atol + rtol * (a1 if a1 > c1 else c1)))
+                d2 = (h * (e1 * p2 + e3 * r2 + e4 * s2 + e5 * v2 + e6 * w2 + e7 * x2)
+                      / (atol + rtol * (a2 if a2 > c2 else c2)))
+                d3 = (h * (e1 * p3 + e3 * r3 + e4 * s3 + e5 * v3 + e6 * w3 + e7 * x3)
+                      / (atol + rtol * (a3 if a3 > c3 else c3)))
+                d4 = (h * (e1 * p4 + e3 * r4 + e4 * s4 + e5 * v4 + e6 * w4 + e7 * x4)
+                      / (atol + rtol * (a4 if a4 > c4 else c4)))
+                d5 = (h * (e1 * p5 + e3 * r5 + e4 * s5 + e5 * v5 + e6 * w5 + e7 * x5)
+                      / (atol + rtol * (a5 if a5 > c5 else c5)))
+                err = sqrt((d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4 + d5 * d5) / 6)
         if err is not None and err <= 1.0:
             t += h
             y0, y1, y2, y3, y4, y5 = z
             a0, a1, a2, a3, a4, a5 = c0, c1, c2, c3, c4, c5
             p0, p1, p2, p3, p4, p5 = k7
-            ts.append(t)
+            hs.append(h)
             ys.append(z)
             dys.append(k7)
             if y0 <= _COLLAPSE_FLOOR or y1 <= _COLLAPSE_FLOOR or y2 <= _COLLAPSE_FLOOR:
@@ -231,36 +255,55 @@ def integrate_frame(f0, df0, t0, t_target, lam, rtol=1e-10, atol=1e-12,
                 reason = "blowup_event"
                 break
             if t >= t_end:
-                resume = resume or (len(ts) - 1, h, err_prev, n_rej)
+                resume = resume or (len(hs), h, err_prev, n_rej)
                 reason = "reached_target"
                 break
-            # PI controller; an exact step (err = 0, where the power would
-            # divide by zero) takes the largest growth
-            fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0.0 else 5.0
-            err_prev = err if err >= 1e-10 else 1e-10
-            h *= 5.0 if fac >= 5.0 else (fac if fac > 0.2 else 0.2)
+            if replay:
+                if len(hs) == max_steps:
+                    break  # out of steps short of the target
+                h = steps[len(hs)]
+            else:
+                # PI controller; an exact step (err = 0, where the power
+                # would divide by zero) takes the largest growth
+                fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0.0 else 5.0
+                err_prev = err if err >= 1e-10 else 1e-10
+                h *= 5.0 if fac >= 5.0 else (fac if fac > 0.2 else 0.2)
         else:
             n_rej += 1
             h *= 0.25 if err is None else min(1.0, max(0.2, 0.9 * err ** -0.2))
-            if not h >= 1e-14 * max(1.0, abs(t)):  # NaN too, from a non-finite slope
+            if replay or not h >= 1e-14 * max(1.0, abs(t)):  # NaN too, from a non-finite slope
                 break
-    n = len(ts)  # rows of six floats, tuples or lists, packed without boxing each row
+    n = len(ys)  # rows of six floats, tuples or lists, packed without boxing each row
     y, dy = (np.fromiter(chain.from_iterable(rows), float, 6 * n).reshape(n, 6)
              for rows in (ys, dys))
-    return Trajectory(np.array(ts), y, dy, lam, reason, n_rej, resume)
+    # the sample times t0, t0 + h0, (t0 + h0) + h1, ...: add.accumulate adds
+    # in order, as the loop advanced t
+    t0_steps = np.array([float(t0), *hs])
+    return Trajectory(np.add.accumulate(t0_steps), y, dy, lam, reason, n_rej, resume,
+                      t0_steps[1:])
 
 
 class HandoffError(ValueError):
     """The germ hand-off offset is not below the leg's target time."""
 
 
-def integrate_germ(germ, t_target, leg=None, **kw) -> Trajectory:
+def integrate_germ(germ, t_target, leg=None, replay=None, **kw) -> Trajectory:
     """Integrate away from a singular orbit, handing off from the Taylor germ
     at the offset ``germs.germ_start_offset`` picks, or continue ``leg``, a
-    leg of the same germ and options, as ``integrate_frame`` does."""
+    leg of the same germ and options, as ``integrate_frame`` does.  With
+    ``replay``, a leg of a nearby germ of the same end to the same target,
+    hand off at its offset instead and take its accepted steps
+    (``integrate_frame``'s ``steps``); GermConstructionError is raised when
+    the germ is not positive at that offset."""
     if leg is not None:
         return integrate_frame(leg.f[0], leg.df[0], leg.t[0], t_target, germ.lam,
                                leg=leg, **kw)
+    if replay is not None:
+        eps = float(replay.t[0])
+        f0, df0 = germ.eval(eps)
+        if not f0.min() > 0.0:  # no hand-off search has checked this germ there
+            raise germs.GermConstructionError(f"germ is not positive at offset {eps:.3g}")
+        return integrate_frame(f0, df0, eps, t_target, germ.lam, steps=replay.steps, **kw)
     eps = germs.germ_start_offset(germ)
     if eps >= t_target:
         raise HandoffError(f"germ hand-off offset {eps:.6g} is not below "

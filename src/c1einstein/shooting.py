@@ -169,9 +169,10 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
     end's condition, free values and match distance.  Each side is looked
     up in a side cache (see ``_side``): base's, when ``base`` is given, and
     a new one otherwise.  So a mirror shot (equal ends, free values and
-    match distances) builds one side for both, a column of base's Jacobian
-    takes base's unchanged side, and a T column continues base's legs.  The
-    shot is the same, bit for bit, as one built side by side.
+    match distances) builds one side for both, a shot that moves one end's
+    free values takes base's other side unchanged, and a shot at a longer T
+    continues base's legs.  The shot is the same, bit for bit, as one built
+    side by side.
     """
     sides = {} if base is None else base.sides
     failures = {AdmissibilityError: "inadmissible", GermConstructionError: "germ",
@@ -201,19 +202,29 @@ def _side(pr, sides, end, free, reach):
     (problem, end condition, free values) to the germ and its legs by match
     distance: a leg of the same distance is taken as it is, one of a shorter
     distance is continued, and whatever is built is stored."""
-    # tobytes, not ==: a germ built from -0.0 may differ from one built from 0.0
-    key = (pr, end, np.array(list(free.values())).tobytes())
+    key = _side_key(pr, end, list(free.values()))
     if key not in sides:
         sides[key] = (series_solve(end, free, pr.lam, order=pr.germ_order), {})
     germ, legs = sides[key]
     if reach not in legs:
-        kw = dict(rtol=pr.rtol, atol=pr.atol)
-        if pr.lam > 0.0:
-            kw["blowup_ceiling"] = _BLOWUP * math.sqrt(3.0 / pr.lam)
         shorter = [r for r in legs if r < reach]
-        legs[reach] = integrate_germ(germ, reach, **kw,
+        legs[reach] = integrate_germ(germ, reach, **_leg_options(pr),
                                      leg=legs[max(shorter)] if shorter else None)
     return germ, legs[reach]
+
+
+def _side_key(pr, end, values):
+    """The side cache's key for an end's free values, in end.free order."""
+    # bytes, not ==: a germ built from -0.0 may differ from one built from 0.0
+    return pr, end, np.array(values, dtype=float).tobytes()
+
+
+def _leg_options(pr):
+    """The integrator options of the problem's legs."""
+    kw = dict(rtol=pr.rtol, atol=pr.atol)
+    if pr.lam > 0.0:
+        kw["blowup_ceiling"] = _BLOWUP * math.sqrt(3.0 / pr.lam)
+    return kw
 
 
 def match_residual(pr: ShootingProblem, u, base: Optional[Shot] = None):
@@ -238,10 +249,79 @@ def _assemble(pr: ShootingProblem, T, shot: Shot):
                       trl.n_rejected + trr.n_rejected)
 
 
+def _jacobian(pr: ShootingProblem, u, shot: Shot):
+    """Forward differences of the match residual at ``u``, whose shot is
+    ``shot``: each unknown is moved by ``_FD_STEP`` relative to 1 + |u_i|,
+    and its column is the residual of a shot at the moved unknowns, less
+    ``shot``'s, over the step.
+
+    When both of ``shot``'s legs reached the match point, the germ-parameter
+    columns' shots find their moved sides in a copy of ``shot``'s side cache
+    that holds replays (see ``_replayed_sides``), and the T column is the
+    derivative of y_L(theta T) - y_R((1 - theta) T) * _MIRROR from the legs'
+    end slopes.  Otherwise, or when a side cannot be replayed, each column
+    is a shot that shares ``shot``'s side cache: a penalty's gradient lies
+    in its legs' stop times, which a replay would freeze."""
+    h = _FD_STEP * (1.0 + np.abs(u))
+    J = np.empty((6, len(u)))
+    base, n = shot, len(u)
+    if shot.failure is None:
+        try:
+            base = Shot((), (), np.empty(0),
+                        sides={**shot.sides, **_replayed_sides(pr, u, shot, h)})
+        except (GermConstructionError, _ReplayStopped) as exc:
+            _log.debug("Jacobian from column shots: %s", exc)
+        else:
+            n -= 1
+            J[:, -1] = (pr.theta * shot.legs[0].dy[-1]
+                        - (1.0 - pr.theta) * shot.legs[1].dy[-1] * _MIRROR)
+    for i in range(n):
+        up = u.copy()
+        up[i] += h[i]
+        J[:, i] = (match_residual(pr, up, base=base) - shot.residual) / h[i]
+    return J
+
+
+class _ReplayStopped(RuntimeError):
+    """A replayed leg stopped short of the match point."""
+
+
+def _replayed_sides(pr, u, shot, h):
+    """The sides of ``shot``'s germ-parameter columns, keyed as ``_side``
+    keys them.  An end's column germs come from one batched
+    ``series_solve``, and each hands off at the offset of that end's leg in
+    ``shot`` and replays its accepted steps.  A mirror shot's right columns
+    move the right end to the left columns' free values, so they find the
+    left columns' sides and replay nothing."""
+    sides = {}
+    kw = _leg_options(pr)
+    nl = len(pr.diagram.left.free)
+    for end, cols, leg, reach in zip((pr.diagram.left, pr.diagram.right),
+                                     (np.arange(nl), np.arange(nl, len(u) - 1)),
+                                     shot.legs, shot.reach):
+        moved = np.tile(u[cols], (len(cols), 1))
+        moved[np.arange(len(cols)), np.arange(len(cols))] += h[cols]
+        keys = [_side_key(pr, end, row) for row in moved]
+        new = [j for j, key in enumerate(keys) if key not in sides]
+        if new:  # none on a mirror shot's right end
+            for j, germ in zip(new, series_solve(end, moved[new], pr.lam, order=pr.germ_order)):
+                sides[keys[j]] = (germ, {})
+        for key in keys:
+            germ, legs = sides[key]
+            if reach not in legs:
+                legs[reach] = integrate_germ(germ, reach, replay=leg, **kw)
+                if legs[reach].reason != "reached_target":
+                    raise _ReplayStopped("a replayed leg stopped short of the match point")
+    return sides
+
+
 def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
-    """Damped Gauss-Newton on the match residual with a forward-difference
-    Jacobian.  Raises NonConvergence with the best iterate on failure.
-    Logs each step's residual norm to the "c1einstein" logger at DEBUG."""
+    """Damped Gauss-Newton on the match residual.  Its forward-difference
+    Jacobian (``_jacobian``) replays each iterate's own legs when both
+    reached the match point.  A penalised iterate keeps column shots: its
+    penalty's gradient lies in the legs' stop times, and a replay freezes
+    those.  Raises NonConvergence with the best iterate on failure.  Logs
+    each step's residual norm to the "c1einstein" logger at DEBUG."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     if not 0.0 < tol < np.inf:
@@ -250,27 +330,13 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
     pr.check_admissible(u)
     shot = shoot(pr, u)
     norm = np.max(np.abs(shot.residual))
-
-    def jacobian(u, shot):
-        # each column moves one unknown and shares the base shot's side
-        # cache, so it builds only the side that unknown feeds: a germ
-        # parameter one germ and leg (none on a mirror diagram's right end,
-        # whose side the left column built), T continues the legs
-        J = np.empty((6, len(u)))
-        for i in range(len(u)):
-            h = _FD_STEP * (1.0 + abs(u[i]))
-            up = u.copy()
-            up[i] += h
-            J[:, i] = (match_residual(pr, up, base=shot) - shot.residual) / h
-        return J
-
     n_iter = 0
     while not norm < tol:  # a NaN norm must not pass as converged
         if n_iter == max_iter:
             raise NonConvergence(
                 f"no convergence in {max_iter} iterations, "
                 f"|residual| = {norm:.3e}", u, norm)
-        J = jacobian(u, shot)
+        J = _jacobian(pr, u, shot)
         step, *_ = np.linalg.lstsq(J, -shot.residual, rcond=None)
         lam_damp = 1.0
         for _ in range(12):
@@ -287,7 +353,7 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
                 f"line search stalled at |residual| = {norm:.3e}{why}", u, norm)
         _log.debug("iter %2d  |residual| = %.3e", n_iter, norm)
         n_iter += 1
-    J = jacobian(u, shot)
+    J = _jacobian(pr, u, shot)
     rank = int(np.linalg.matrix_rank(J, tol=1e-8 * max(1.0, np.abs(J).max())))
     left, right, T = pr.split(u)
     traj = _assemble(pr, T, shot)

@@ -225,22 +225,32 @@ INSTANCES = [(cid, 0) for cid in DIAGRAM_IDS[:-1]] + [("so3_hitchin", 2), ("so3_
 
 
 @pytest.mark.parametrize("case_id,k", INSTANCES)
-def test_a_jacobian_column_hands_off_where_its_base_germ_does(case_id, k):
+def test_a_jacobian_column_takes_its_base_legs_sample_times(case_id, k, monkeypatch):
     # a Jacobian column moves one germ parameter by the finite-difference
-    # step; a leg that starts elsewhere than the base leg puts the jump in
-    # hand-off offset into the difference.  At the shipped guess and at ten
-    # starts 1e-6 away, both ends and both parameters of each
-    d = get_diagram(case_id, k)
+    # step, hands off where its side's base leg does and replays that leg's
+    # steps, so no jump in hand-off offset or step size enters the
+    # difference.  At the shipped guess and at ten starts 1e-6 away
+    pr = shooting.ShootingProblem(get_diagram(case_id, k))
     g = initial_guess(case_id, k)
     starts = [g] + [g * (1 + 1e-6 * np.random.default_rng(seed).uniform(-1, 1, g.size))
                     for seed in range(1, 11)]
+    real = shooting.integrate_germ
+    cols = []
+
+    def recording(*args, **kw):
+        cols.append((real(*args, **kw), kw["replay"]))
+        return cols[-1][0]
+
     for u in starts:
-        for end, free in ((d.left, u[:2]), (d.right, u[2:4])):
-            base = germ_start_offset(series_solve(end, free, 3.0))
-            for i in range(2):
-                moved = free.copy()
-                moved[i] += shooting._FD_STEP * (1.0 + abs(free[i]))
-                assert germ_start_offset(series_solve(end, moved, 3.0)) == base, (u, end, i)
+        shot = shooting.shoot(pr, u)
+        monkeypatch.setattr(shooting, "integrate_germ", recording)
+        shooting._jacobian(pr, u, shot)
+        monkeypatch.undo()
+        assert len(cols) == (2 if shot.legs[0] is shot.legs[1] else 4)
+        for col, base in cols:
+            assert any(base is leg for leg in shot.legs) and col.reason == "reached_target"
+            assert np.array_equal(col.t, base.t), (u, col.t.size, base.t.size)
+        cols.clear()
 
 
 def test_the_shipped_page_germ_keeps_the_u2_symmetry():
@@ -411,13 +421,13 @@ def _pinned_staircase(end, pins, lam=1.7, order=8):
     """Run the staircase with exactly the named slots pinned; return the
     structure and the solved slot values."""
     st = germs._structure(end, order)
-    values = np.zeros(len(st.names))
+    values = np.zeros((1, len(st.names)))  # one row
     determined = np.zeros(len(st.names), dtype=bool)
     for name, v in pins.items():
         s = st.names.index(name)
-        values[s], determined[s] = v, True
+        values[0, s], determined[s] = v, True
     germs._staircase(st, values, determined, lam)
-    return st, values
+    return st, values[0]
 
 
 def test_staircase_rejects_a_wrong_free_parameter_count():
@@ -503,10 +513,11 @@ def test_staircase_checks_a_last_order_with_no_unknowns(cid):
 
 def _staircase_every_order(st, values, determined, lam):
     """The staircase as one probe per order 0 .. m_stop, each order with no
-    unknowns checked by its own probe."""
+    unknowns checked by its own probe, for one germ's slot values (1, slots)."""
+    values = values[0]  # a view: the row is solved in place
     for m in range(st.m_stop + 1):
         S_m = np.flatnonzero(~determined & (st.first == m))
-        r = germs._probe(st, values, S_m, lam, m + 1)
+        r = germs._probe(st, values[None], S_m, lam, m + 1)[0]
         scale = max(np.max(np.abs(r[0])), 1.0)
         rm = r[0, :, m]
         if not S_m.size:

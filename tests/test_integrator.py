@@ -366,6 +366,41 @@ def test_a_legs_samples_are_packed_read_only_float_rows():
             assert a.flags.c_contiguous and not a.flags.writeable
 
 
+def test_a_replay_takes_the_given_steps_and_no_others():
+    # the leg that collapses after 52 rejected steps, replayed: its samples,
+    # bit for bit, with no rejection
+    start = ([1, 1, 1], [-10, 0, 0], 0, 5, 3.0)
+    leg = integrate_frame(*start)
+    assert leg.n_rejected == 52 and leg.steps.shape == (leg.n_accepted,)
+    assert not leg.steps.flags.writeable
+    again = integrate_frame(*start, steps=leg.steps)
+    assert (again.reason, again.n_rejected) == ("collapse_event", 0)
+    for a, b in ((again.t, leg.t), (again.y, leg.y), (again.dy, leg.dy),
+                 (again.steps, leg.steps)):
+        assert np.array_equal(a, b)
+    # out of steps short of the target: a step failure at the last one given
+    short = integrate_frame(*start, steps=leg.steps[:5])
+    assert (short.reason, short.n_rejected) == ("step_failure", 0)
+    assert np.array_equal(short.y, leg.y[:6])
+    # a step whose stage meets a nonpositive profile is not retried
+    over = integrate_frame([1, 1, 1], [-10, 0, 0], 0, 5, 3.0, steps=[0.2, 0.2])
+    assert (over.reason, len(over.t), over.n_rejected) == ("step_failure", 1, 1)
+    with pytest.raises(ValueError, match="continued or replayed"):
+        integrate_frame(*start, leg=leg, steps=leg.steps)
+
+
+def test_a_replayed_germ_must_be_positive_at_the_offset():
+    # the replay takes its base leg's offset without a hand-off search, so
+    # it checks the germ's positivity there itself
+    from c1einstein.germs import GermConstructionError
+
+    end = get_diagram("so3_s4").left
+    leg = integrate_germ(series_solve(end, {"h": 2 * S3, "c": -2.0}, 3.0), 0.9)
+    thin = series_solve(end, {"h": 0.1, "c": -2.0}, 3.0)
+    with pytest.raises(GermConstructionError, match="not positive at offset"):
+        integrate_germ(thin, 0.9, replay=leg)
+
+
 def test_tolerance_scaling():
     # error should fall steeply as rtol is tightened
     prof = oracle("round_su2", lam=3.0)
