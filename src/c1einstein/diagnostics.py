@@ -35,6 +35,8 @@ KAPPA_TAU = -1.0 / (12.0 * np.pi**2)
 # quadrature; the reported values use twice the panels
 _PANELS = 24
 _NODES = 12
+# the (nodes, weights) of that rule, read-only; see _gauss_legendre
+_GAUSS_LEGENDRE = None
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def characteristic_numbers(sr: SolutionReport) -> TopologyReport:
         f, df = gr.eval(ts)
         return f, -df
 
-    x, w = np.polynomial.legendre.leggauss(_NODES)
+    x, w = _gauss_legendre()
 
     def run(npan):
         def seg(lo, hi, ev):
@@ -206,6 +208,17 @@ def characteristic_numbers(sr: SolutionReport) -> TopologyReport:
     change = max(abs(KAPPA_CHI) * abs(c2[0] - c1[0]),
                  abs(KAPPA_TAU) * abs(c2[1] - c1[1]))
     return TopologyReport(float(chi), float(tau), float(change))
+
+
+def _gauss_legendre():
+    """The _NODES-point Gauss-Legendre nodes and weights, built on the first
+    call and reused: importing this module imports no numpy.polynomial."""
+    global _GAUSS_LEGENDRE
+    if _GAUSS_LEGENDRE is None:
+        x, w = np.polynomial.legendre.leggauss(_NODES)
+        x.flags.writeable = w.flags.writeable = False
+        _GAUSS_LEGENDRE = x, w
+    return _GAUSS_LEGENDRE
 
 
 def max_principle_check(sr: SolutionReport, pairs=((1, 2), (2, 3), (3, 1))):

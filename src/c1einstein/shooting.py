@@ -120,7 +120,9 @@ class Shot:
     "blowup_event", "step_failure").
 
     ``sides`` is the side cache the shot read and filled, which a shot
-    built with this one as ``base`` shares (see ``shoot``)."""
+    built with this one as ``base`` shares (see ``shoot``); a shot of
+    ``solve``'s finds its germs and its Jacobian's column germs seeded
+    there (see ``_seeded_shot``)."""
 
     germs: tuple
     legs: tuple
@@ -249,26 +251,85 @@ def _assemble(pr: ShootingProblem, T, shot: Shot):
                       trl.n_rejected + trr.n_rejected)
 
 
+def _fd_steps(u):
+    """The forward-difference step of each unknown: ``_FD_STEP`` relative
+    to 1 + |u_i|."""
+    return _FD_STEP * (1.0 + np.abs(u))
+
+
+def _end_rows(pr, u, h):
+    """Each end with its rows of free values, in end.free order: u's own,
+    then one per germ-parameter column of that end, moved by its step in
+    ``h`` as the column's shot moves it."""
+    nl = len(pr.diagram.left.free)
+    for end, cols in ((pr.diagram.left, np.arange(nl)),
+                      (pr.diagram.right, np.arange(nl, len(u) - 1))):
+        rows = np.tile(u[cols], (len(cols) + 1, 1))
+        # a column moved past the largest float is inf, a ValueError of series_solve
+        with np.errstate(over="ignore"):
+            rows[np.arange(1, len(cols) + 1), np.arange(len(cols))] += h[cols]
+        yield end, rows
+
+
+def _build_germs(pr, sides, end, rows):
+    """The side cache keys of an end's rows, after adding to ``sides`` the
+    germs of the rows it lacks from one batched ``series_solve``.  A mirror
+    shot's right rows find the left rows' keys and build nothing."""
+    keys = [_side_key(pr, end, row) for row in rows]
+    new = [j for j, key in enumerate(keys) if key not in sides]
+    if new:
+        for j, germ in zip(new, series_solve(end, rows[new], pr.lam, order=pr.germ_order)):
+            sides[keys[j]] = (germ, {})
+    return keys
+
+
+def _seeded_shot(pr, u):
+    """``shoot(pr, u)`` from a side cache that already holds the germs of
+    its Jacobian: each end's germ and its columns' germs (``_end_rows``)
+    come from one batched staircase.  An end whose batch raises seeds
+    nothing and logs why at DEBUG; ``shoot`` then builds that end's germ
+    alone, and ``_jacobian`` its column germs, which fail on the same rows.
+    An inadmissible u seeds nothing.  The shot is ``shoot(pr, u)``'s, bit
+    for bit."""
+    try:
+        pr.check_admissible(u)
+    except AdmissibilityError:
+        return shoot(pr, u)
+    sides = {}
+    for name, (end, rows) in zip(("left", "right"), _end_rows(pr, u, _fd_steps(u))):
+        try:
+            _build_germs(pr, sides, end, rows)
+        except (GermConstructionError, ValueError) as exc:  # see _end_rows
+            _log.debug("no %s germs seeded: %s", name, exc)
+    return shoot(pr, u, Shot((), (), np.empty(0), sides=sides))
+
+
 def _jacobian(pr: ShootingProblem, u, shot: Shot):
     """Forward differences of the match residual at ``u``, whose shot is
-    ``shot``: each unknown is moved by ``_FD_STEP`` relative to 1 + |u_i|,
-    and its column is the residual of a shot at the moved unknowns, less
+    ``shot``: each unknown is moved by its step (``_fd_steps``), and its
+    column is the residual of a shot at the moved unknowns, less
     ``shot``'s, over the step.
 
     When both of ``shot``'s legs reached the match point, the germ-parameter
     columns' shots find their moved sides in a copy of ``shot``'s side cache
     that holds replays (see ``_replayed_sides``), and the T column is the
     derivative of y_L(theta T) - y_R((1 - theta) T) * _MIRROR from the legs'
-    end slopes.  Otherwise, or when a side cannot be replayed, each column
-    is a shot that shares ``shot``'s side cache: a penalty's gradient lies
-    in its legs' stop times, which a replay would freeze."""
-    h = _FD_STEP * (1.0 + np.abs(u))
+    end slopes.  The column germs are read from ``shot``'s side cache: a
+    shot of ``solve``'s was seeded with them (``_seeded_shot``), and for any
+    other shot the ones it lacks are added there first, one batch per end.
+    Otherwise, or when a column germ cannot be built or a side cannot be
+    replayed, each column is a shot that shares ``shot``'s side cache: a
+    penalty's gradient lies in its legs' stop times, which a replay would
+    freeze."""
+    h = _fd_steps(u)
     J = np.empty((6, len(u)))
     base, n = shot, len(u)
     if shot.failure is None:
         try:
+            keys = [_build_germs(pr, shot.sides, end, rows)[1:]
+                    for end, rows in _end_rows(pr, u, h)]
             base = Shot((), (), np.empty(0),
-                        sides={**shot.sides, **_replayed_sides(pr, u, shot, h)})
+                        sides={**shot.sides, **_replayed_sides(pr, shot, keys)})
         except (GermConstructionError, _ReplayStopped) as exc:
             _log.debug("Jacobian from column shots: %s", exc)
         else:
@@ -286,28 +347,18 @@ class _ReplayStopped(RuntimeError):
     """A replayed leg stopped short of the match point."""
 
 
-def _replayed_sides(pr, u, shot, h):
-    """The sides of ``shot``'s germ-parameter columns, keyed as ``_side``
-    keys them.  An end's column germs come from one batched
-    ``series_solve``, and each hands off at the offset of that end's leg in
-    ``shot`` and replays its accepted steps.  A mirror shot's right columns
-    move the right end to the left columns' free values, so they find the
-    left columns' sides and replay nothing."""
+def _replayed_sides(pr, shot, keys):
+    """The sides of ``shot``'s germ-parameter columns: ``keys`` holds each
+    end's column keys, whose germs ``shot``'s side cache holds, and no germ
+    is built here.  Each column germ hands off at the offset of its end's
+    leg in ``shot`` and replays that leg's accepted steps, in a side of its
+    own.  A mirror shot's right columns have the left columns' keys, so
+    they find the left columns' sides and replay nothing."""
     sides = {}
     kw = _leg_options(pr)
-    nl = len(pr.diagram.left.free)
-    for end, cols, leg, reach in zip((pr.diagram.left, pr.diagram.right),
-                                     (np.arange(nl), np.arange(nl, len(u) - 1)),
-                                     shot.legs, shot.reach):
-        moved = np.tile(u[cols], (len(cols), 1))
-        moved[np.arange(len(cols)), np.arange(len(cols))] += h[cols]
-        keys = [_side_key(pr, end, row) for row in moved]
-        new = [j for j, key in enumerate(keys) if key not in sides]
-        if new:  # none on a mirror shot's right end
-            for j, germ in zip(new, series_solve(end, moved[new], pr.lam, order=pr.germ_order)):
-                sides[keys[j]] = (germ, {})
-        for key in keys:
-            germ, legs = sides[key]
+    for end_keys, leg, reach in zip(keys, shot.legs, shot.reach):
+        for key in end_keys:
+            germ, legs = sides.setdefault(key, (shot.sides[key][0], {}))
             if reach not in legs:
                 legs[reach] = integrate_germ(germ, reach, replay=leg, **kw)
                 if legs[reach].reason != "reached_target":
@@ -316,19 +367,23 @@ def _replayed_sides(pr, u, shot, h):
 
 
 def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
-    """Damped Gauss-Newton on the match residual.  Its forward-difference
-    Jacobian (``_jacobian``) replays each iterate's own legs when both
-    reached the match point.  A penalised iterate keeps column shots: its
-    penalty's gradient lies in the legs' stop times, and a replay freezes
-    those.  Raises NonConvergence with the best iterate on failure.  Logs
-    each step's residual norm to the "c1einstein" logger at DEBUG."""
+    """Damped Gauss-Newton on the match residual.  Each shot it makes, the
+    guess's and each line-search try's, is seeded (``_seeded_shot``): one
+    staircase per end builds the shot's germ and the germs of its
+    Jacobian's columns.  Its forward-difference Jacobian (``_jacobian``)
+    replays each iterate's own legs from those germs when both reached the
+    match point.  A penalised iterate keeps column shots, which find their
+    germs seeded: its penalty's gradient lies in the legs' stop times, and
+    a replay freezes those.  Raises NonConvergence with the best iterate on
+    failure.  Logs each step's residual norm to the "c1einstein" logger at
+    DEBUG."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got tol = {tol}")
     u = np.asarray(guess, dtype=float).copy()
     pr.check_admissible(u)
-    shot = shoot(pr, u)
+    shot = _seeded_shot(pr, u)
     norm = np.max(np.abs(shot.residual))
     n_iter = 0
     while not norm < tol:  # a NaN norm must not pass as converged
@@ -341,7 +396,7 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
         lam_damp = 1.0
         for _ in range(12):
             u_try = u + lam_damp * step
-            shot_try = shoot(pr, u_try)
+            shot_try = _seeded_shot(pr, u_try)
             n_try = np.max(np.abs(shot_try.residual))
             if n_try < norm:
                 u, shot, norm = u_try, shot_try, n_try

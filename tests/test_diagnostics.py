@@ -4,11 +4,15 @@ quadratures, ratio extremum checks, and the finite-difference curvature
 cross-check.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from c1einstein import diagnostics
 from c1einstein.diagnostics import (ConeSpec, characteristic_numbers,
                                     cone_monitor, eigen_gap_report,
                                     fd_curvature_oracle, invariant_constants,
@@ -178,6 +182,37 @@ def test_orbifold_chi_tau_at_a_cone_order_without_a_shipped_guess():
     rep = characteristic_numbers(solve(ShootingProblem(d), u))
     assert abs(rep.chi - d.chi_tau[0]) < 1e-8
     assert abs(rep.tau - d.chi_tau[1]) < 1e-8
+
+
+def test_the_gauss_legendre_table_is_built_once_and_kept(monkeypatch, solutions):
+    # built by the first quadrature in a process and reused, read-only, by
+    # every later one; the reports keep their bits
+    sr = solutions("so3_cp2")
+    first = characteristic_numbers(sr)
+    x, w = diagnostics._gauss_legendre()
+    ref = np.polynomial.legendre.leggauss(diagnostics._NODES)
+    assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+    assert not x.flags.writeable and not w.flags.writeable
+
+    def rebuilt(n):
+        pytest.fail("the Gauss-Legendre table was built again")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", rebuilt)
+    assert characteristic_numbers(sr) == first
+    assert diagnostics._gauss_legendre()[0] is x
+
+
+def test_importing_the_cli_imports_no_numpy_polynomial():
+    # the quadrature's table is built on first use, not at import, so the
+    # console script's set-up does not pay for numpy.polynomial
+    src = os.path.dirname(os.path.dirname(diagnostics.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys, c1einstein.cli; "
+              "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -143,13 +143,17 @@ def test_failed_shots_say_why():
                          + [("so3_hitchin", k) for k in (2, 3)])
 def test_a_huge_germ_parameter_is_a_failed_shot(capfd, case_id, k):
     # the staircase's products overflow: a germ failure, raised before
-    # LAPACK sees a non-finite probe, with no warning and nothing on stderr
+    # LAPACK sees a non-finite probe, with no warning and nothing on stderr;
+    # a solve's seeded shot fails alike, its columns past the largest float
+    # included
     pr = _problem(case_id, k)
     for i in range(4):
-        for big in (1e80, 1e200, 1e308):
+        for big in (1e80, 1e200, 1e308, np.finfo(float).max):
             u = initial_guess(case_id, k)
             u[i] = big
-            assert shooting.shoot(pr, u).failure in ("germ", "inadmissible"), (i, big)
+            failure = shooting.shoot(pr, u).failure
+            assert failure in ("germ", "inadmissible"), (i, big)
+            assert shooting._seeded_shot(pr, u).failure == failure, (i, big)
     assert capfd.readouterr().err == ""
 
 
@@ -294,17 +298,23 @@ def test_germs_are_built_once_per_shot(monkeypatch):
     monkeypatch.setattr(germs, "germ_start_offset", counted_search)
     pr = _problem("su2_cp2")
     sr = solve(pr, initial_guess("su2_cp2"))
-    # the shipped guess converges at once: the base shot builds two germs
-    # and two legs, and the Jacobian one batch of two column germs per side,
-    # each handing off where its side's base leg does and replaying that
-    # leg; the T column and the trajectory build nothing
+    # the shipped guess converges at once: the shot is seeded with one batch
+    # per side of its germ and its two column germs, and builds two legs;
+    # each column germ hands off where its side's base leg does and replays
+    # that leg; the T column and the trajectory build nothing
     assert sr.n_iter == 0
-    assert len(built) == 2 and [len(b) for _, b in batches] == [2, 2]
-    assert len(searches) == 2 and all(a is b for a, b in zip(searches, built))
+    assert not built and [len(b) for _, b in batches] == [3, 3]
+    assert sr.germs == tuple(b[0] for _, b in batches)
+    assert len(searches) == 2 and all(a is b for a, b in zip(searches, sr.germs))
+    h = shooting._FD_STEP * (1.0 + np.abs(sr.u))
+    for (free, _), cols in zip(batches, (slice(0, 2), slice(2, 4))):
+        moved = np.tile(sr.u[cols], (3, 1))
+        moved[[1, 2], [0, 1]] += h[cols]
+        assert np.array_equal(free, moved)
     base = [leg for leg, _ in legs[:2]]
     assert [replay for _, replay in legs] == [None, None] + [base[0]] * 2 + [base[1]] * 2
     characteristic_numbers(sr)
-    assert len(built) == 2 and len(batches) == 2
+    assert not built and len(batches) == 2
     ends = (pr.diagram.left, pr.diagram.right)
     for end, free, germ in zip(ends, (sr.left_free, sr.right_free), sr.germs):
         fresh = real(end, free, pr.lam, order=pr.germ_order)
@@ -320,11 +330,11 @@ def test_a_mirror_solve_builds_each_distinct_germ_once(monkeypatch):
     _, built, batches, legs = _count_builds(monkeypatch)
     pr = _problem("su2_cp2bar")
     sr = solve(pr, initial_guess("su2_cp2bar"))
-    # the base shot builds one germ and one leg for both ends, and the
-    # Jacobian one batch of two column germs for the left end, each
-    # replaying the base leg; the right columns are the left ones mirrored
-    assert sr.n_iter == 0 and len(built) == 1 and [len(b) for _, b in batches] == [2]
-    assert sr.germs[0] is sr.germs[1] is built[0]
+    # the shot is seeded with one batch for both ends, of its germ and the
+    # left end's two column germs, and builds one leg; each column replays
+    # the base leg, and the right columns find the left ones' sides
+    assert sr.n_iter == 0 and not built and [len(b) for _, b in batches] == [3]
+    assert sr.germs[0] is sr.germs[1] is batches[0][1][0]
     assert [replay for _, replay in legs] == [None, legs[0][0], legs[0][0]]
 
 
@@ -505,21 +515,105 @@ def test_a_jacobian_that_cannot_be_replayed_takes_column_shots(monkeypatch, capl
 
 def test_every_jacobian_of_a_reached_iterate_is_built_from_it(monkeypatch):
     # from a 1% start: one Jacobian at the guess and one at each of the
-    # three accepted iterates, each from one column batch per side, and
-    # the last one at the solution
+    # three accepted iterates (each accepted at its first try), each
+    # replaying its shot's legs from the germs seeded with that shot, one
+    # batch per side; the last batches are at the solution
     _, built, batches, legs = _count_builds(monkeypatch)
     columns = _columns_build_no_leg(monkeypatch, legs)
     pr = _problem("su2_cp2")
-    g = initial_guess("su2_cp2")
-    guess = g * (1 + 0.01 * np.random.default_rng(1).uniform(-1, 1, g.size))
+    guess = _perturbed("su2_cp2", 0, 0.01)
     sr = solve(pr, guess)
-    assert sr.n_iter == 3 and len(batches) == 8 and len(columns) == 16
+    assert sr.n_iter == 3 and not built and len(columns) == 16
+    assert [len(b) for _, b in batches] == [3] * 8
     assert sum(replay is not None for _, replay in legs) == 16
     h = shooting._FD_STEP * (1.0 + np.abs(sr.u))
     for (free, _), cols in zip(batches[-2:], (slice(0, 2), slice(2, 4))):
-        moved = np.tile(sr.u[cols], (2, 1))
-        moved[[0, 1], [0, 1]] += h[cols]
+        moved = np.tile(sr.u[cols], (3, 1))
+        moved[[1, 2], [0, 1]] += h[cols]
         assert np.array_equal(free, moved)
+
+
+def _perturbed(case_id, k, scale):
+    """The shipped guess moved by up to ``scale`` of each unknown (seed 1)."""
+    g = initial_guess(case_id, k)
+    return g * (1 + scale * np.random.default_rng(1).uniform(-1, 1, g.size))
+
+
+def _assert_same_shot(a, b):
+    assert a.failure == b.failure and np.array_equal(a.residual, b.residual)
+    for ga, gb in zip(a.germs, b.germs):
+        assert np.array_equal(ga.coeffs, gb.coeffs)
+    for la, lb in zip(a.legs, b.legs):
+        for x, y in ((la.t, lb.t), (la.y, lb.y), (la.dy, lb.dy), (la.steps, lb.steps)):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.01], ids=["shipped", "perturbed"])
+@pytest.mark.parametrize("case_id,k", INSTANCES)
+def test_each_seeded_germ_is_its_own_build(case_id, k, scale):
+    # a solve's shot holds, for each end, its germ and the germ of each of
+    # that end's columns, each bit for bit the germ series_solve builds for
+    # its row alone; the shot takes the seeded germs and is a plain shot
+    pr = _problem(case_id, k)
+    u = _perturbed(case_id, k, scale)
+    shot = shooting._seeded_shot(pr, u)
+    h = shooting._FD_STEP * (1.0 + np.abs(u))
+    nl = len(pr.diagram.left.free)
+    for side, (end, cols) in enumerate(((pr.diagram.left, np.arange(nl)),
+                                        (pr.diagram.right, np.arange(nl, 4)))):
+        rows = [u[cols]]
+        for j, i in enumerate(cols):
+            rows.append(u[cols].copy())
+            rows[-1][j] += h[i]
+        seeded = [shot.sides[shooting._side_key(pr, end, row)][0] for row in rows]
+        assert seeded[0] is shot.germs[side]
+        for germ, row in zip(seeded, rows):
+            fresh = germs.series_solve(end, dict(zip(end.free, row)), pr.lam,
+                                       order=pr.germ_order)
+            assert np.array_equal(germ.coeffs, fresh.coeffs)
+    _assert_same_shot(shot, shooting.shoot(pr, u))
+
+
+def test_an_inadmissible_iterate_is_seeded_with_nothing(monkeypatch):
+    _, built, batches, _ = _count_builds(monkeypatch)
+    shot = shooting._seeded_shot(_problem("su2_s4"), [-1 / 6] * 4 + [-1.0])
+    assert shot.failure == "inadmissible" and not shot.sides
+    assert not built and not batches
+
+
+def test_a_seeding_batch_that_raises_seeds_nothing(monkeypatch, caplog):
+    # each end's batch raises: the shot builds its germs alone, bit for bit
+    # the unseeded shot, and its Jacobian's column germs fail again, so the
+    # Jacobian is column shots; the log says why at each step
+    pr = _problem("su2_cp2")
+    u = initial_guess("su2_cp2")
+    monkeypatch.setattr(shooting, "series_solve", _failing_batch)
+    with caplog.at_level(logging.DEBUG, logger="c1einstein"):
+        shot = shooting._seeded_shot(pr, u)
+        J = shooting._jacobian(pr, u, shot)
+    monkeypatch.undo()
+    assert [r.getMessage() for r in caplog.records] == [
+        "no left germs seeded: no column germ", "no right germs seeded: no column germ",
+        "Jacobian from column shots: no column germ"]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    fresh = shooting.shoot(pr, u)
+    _assert_same_shot(shot, fresh)
+    _assert_column_shots(pr, u, fresh, J)
+
+
+def test_a_solve_leaves_no_state_for_the_next(monkeypatch):
+    # two solves from the same start build the same germs and legs, so a
+    # benchmark pass measures the work of one process's solve
+    _, built, batches, legs = _count_builds(monkeypatch)
+    pr = _problem("su2_cp2")
+    guess = _perturbed("su2_cp2", 0, 0.01)
+    work = []
+    for _ in range(2):
+        sr = solve(pr, guess)
+        work.append((len(built), [len(b) for _, b in batches], len(legs), sr.u.tobytes()))
+        for counts in (built, batches, legs):
+            counts.clear()
+    assert work[0] == work[1] and work[0][1]
 
 
 def test_shot_rebuilds_only_the_sides_whose_inputs_change():
