@@ -119,10 +119,9 @@ class Shot:
     stop reason of the first leg that fell short ("collapse_event",
     "blowup_event", "step_failure").
 
-    ``sides`` is the side cache the shot read and filled, which a shot
-    built with this one as ``base`` shares (see ``shoot``); a shot of
-    ``solve``'s finds its germs and its Jacobian's column germs seeded
-    there (see ``_seeded_shot``)."""
+    ``sides`` is the side cache the shot read and filled (see ``shoot``); a
+    shot of ``solve``'s finds its germs and its Jacobian's column germs
+    seeded there (see ``_seeded_shot``)."""
 
     germs: tuple
     legs: tuple
@@ -156,7 +155,7 @@ class SolutionReport:
         return self.problem.lam
 
 
-def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
+def shoot(pr: ShootingProblem, u, sides: Optional[dict] = None) -> Shot:
     """Build both germs, integrate both legs outward to the match point and
     take the six differences of (f, f') there.
 
@@ -169,14 +168,14 @@ def shoot(pr: ShootingProblem, u, base: Optional[Shot] = None) -> Shot:
 
     A side, the germ and leg of one end, depends only on the problem, that
     end's condition, free values and match distance.  Each side is looked
-    up in a side cache (see ``_side``): base's, when ``base`` is given, and
-    a new one otherwise.  So a mirror shot (equal ends, free values and
-    match distances) builds one side for both, a shot that moves one end's
-    free values takes base's other side unchanged, and a shot at a longer T
-    continues base's legs.  The shot is the same, bit for bit, as one built
-    side by side.
+    up in the side cache ``sides`` (see ``_side``), a new one when it is
+    None, and what is built is added to it.  So a mirror shot (equal ends,
+    free values and match distances) builds one side for both, a shot that
+    moves one end's free values finds the other side of a shot made from
+    the same cache, and a shot at a longer T continues that shot's legs.
+    The shot is the same, bit for bit, as one built side by side.
     """
-    sides = {} if base is None else base.sides
+    sides = {} if sides is None else sides
     failures = {AdmissibilityError: "inadmissible", GermConstructionError: "germ",
                 HandoffError: "handoff"}
     try:
@@ -229,16 +228,15 @@ def _leg_options(pr):
     return kw
 
 
-def match_residual(pr: ShootingProblem, u, base: Optional[Shot] = None):
-    """Six differences of (f, f') where the two outward integrations meet;
-    with ``base``, the sides are looked up in base's side cache as in
-    ``shoot``, and the ones built are added to it."""
-    return shoot(pr, u, base).residual
+def match_residual(pr: ShootingProblem, u, sides: Optional[dict] = None):
+    """Six differences of (f, f') where the two outward integrations meet,
+    from the side cache ``sides`` as in ``shoot``."""
+    return shoot(pr, u, sides).residual
 
 
 def _assemble(pr: ShootingProblem, T, shot: Shot):
     """Full-interval trajectory in global time t in [0, T] from the legs."""
-    if [leg.reason for leg in shot.legs] != ["reached_target"] * 2:
+    if shot.failure is not None:
         raise NonConvergence("leg integration terminated before the match point")
     trl, trr = shot.legs
     # right leg: global t = T - s, orientation flips df and so f' in the
@@ -265,118 +263,99 @@ def _end_rows(pr, u, h):
     for end, cols in ((pr.diagram.left, np.arange(nl)),
                       (pr.diagram.right, np.arange(nl, len(u) - 1))):
         rows = np.tile(u[cols], (len(cols) + 1, 1))
-        # a column moved past the largest float is inf, a ValueError of series_solve
+        # a column moved past the largest float is inf (see _seeded_shot)
         with np.errstate(over="ignore"):
             rows[np.arange(1, len(cols) + 1), np.arange(len(cols))] += h[cols]
         yield end, rows
 
 
-def _build_germs(pr, sides, end, rows):
-    """The side cache keys of an end's rows, after adding to ``sides`` the
-    germs of the rows it lacks from one batched ``series_solve``.  A mirror
-    shot's right rows find the left rows' keys and build nothing."""
-    keys = [_side_key(pr, end, row) for row in rows]
-    new = [j for j, key in enumerate(keys) if key not in sides]
-    if new:
-        for j, germ in zip(new, series_solve(end, rows[new], pr.lam, order=pr.germ_order)):
-            sides[keys[j]] = (germ, {})
-    return keys
-
-
 def _seeded_shot(pr, u):
     """``shoot(pr, u)`` from a side cache that already holds the germs of
     its Jacobian: each end's germ and its columns' germs (``_end_rows``)
-    come from one batched staircase.  An end whose batch raises seeds
-    nothing and logs why at DEBUG; ``shoot`` then builds that end's germ
-    alone, and ``_jacobian`` its column germs, which fail on the same rows.
-    An inadmissible u seeds nothing.  The shot is ``shoot(pr, u)``'s, bit
-    for bit."""
+    come from one batched staircase, and a mirror shot's right rows find
+    the left rows' germs.  An end with a row moved past the largest float,
+    or whose batch raises, seeds nothing and logs why at DEBUG; ``shoot``
+    then builds that end's germ alone, and each of its column shots its
+    own.  An inadmissible u seeds nothing.  The shot is ``shoot(pr, u)``'s,
+    bit for bit."""
+    sides = {}
     try:
         pr.check_admissible(u)
     except AdmissibilityError:
-        return shoot(pr, u)
-    sides = {}
+        return shoot(pr, u, sides)
     for name, (end, rows) in zip(("left", "right"), _end_rows(pr, u, _fd_steps(u))):
+        keys = [_side_key(pr, end, row) for row in rows]
+        new = [j for j, key in enumerate(keys) if key not in sides]
+        if not new:
+            continue
+        if not np.isfinite(rows).all():
+            _log.debug("no %s germs seeded: a column moved past the largest float is inf", name)
+            continue
         try:
-            _build_germs(pr, sides, end, rows)
-        except (GermConstructionError, ValueError) as exc:  # see _end_rows
+            for j, germ in zip(new, series_solve(end, rows[new], pr.lam, order=pr.germ_order)):
+                sides[keys[j]] = (germ, {})
+        except GermConstructionError as exc:
             _log.debug("no %s germs seeded: %s", name, exc)
-    return shoot(pr, u, Shot((), (), np.empty(0), sides=sides))
+    return shoot(pr, u, sides)
 
 
 def _jacobian(pr: ShootingProblem, u, shot: Shot):
     """Forward differences of the match residual at ``u``, whose shot is
     ``shot``: each unknown is moved by its step (``_fd_steps``), and its
-    column is the residual of a shot at the moved unknowns, less
-    ``shot``'s, over the step.
+    column is the residual of a shot at the moved unknowns, in a shallow
+    copy of ``shot``'s side cache, less ``shot``'s, over the step.
 
-    When both of ``shot``'s legs reached the match point, the germ-parameter
-    columns' shots find their moved sides in a copy of ``shot``'s side cache
-    that holds replays (see ``_replayed_sides``), and the T column is the
-    derivative of y_L(theta T) - y_R((1 - theta) T) * _MIRROR from the legs'
-    end slopes.  The column germs are read from ``shot``'s side cache: a
-    shot of ``solve``'s was seeded with them (``_seeded_shot``), and for any
-    other shot the ones it lacks are added there first, one batch per end.
-    Otherwise, or when a column germ cannot be built or a side cannot be
-    replayed, each column is a shot that shares ``shot``'s side cache: a
-    penalty's gradient lies in its legs' stop times, which a replay would
-    freeze."""
+    When both of ``shot``'s legs reached the match point, the T column is
+    the derivative of y_L(theta T) - y_R((1 - theta) T) * _MIRROR from the
+    legs' end slopes, and each moved side whose germ the cache holds (a
+    ``_seeded_shot`` seeded it) is first replayed into the copy: its germ
+    hands off at the offset of its end's leg in ``shot`` and replays that
+    leg's accepted steps, once per side, so a mirror shot's right columns
+    find the left ones' replays.  A replay that stops short of the match point, or whose
+    germ is not positive at the offset, is logged at DEBUG and not kept, so
+    only that column's shot integrates its side.  A penalised shot replays
+    nothing: its penalty's gradient lies in its legs' stop times, which a
+    replay would freeze."""
     h = _fd_steps(u)
     J = np.empty((6, len(u)))
-    base, n = shot, len(u)
+    sides, n = dict(shot.sides), len(u)
     if shot.failure is None:
-        try:
-            keys = [_build_germs(pr, shot.sides, end, rows)[1:]
-                    for end, rows in _end_rows(pr, u, h)]
-            base = Shot((), (), np.empty(0),
-                        sides={**shot.sides, **_replayed_sides(pr, shot, keys)})
-        except (GermConstructionError, _ReplayStopped) as exc:
-            _log.debug("Jacobian from column shots: %s", exc)
-        else:
-            n -= 1
-            J[:, -1] = (pr.theta * shot.legs[0].dy[-1]
-                        - (1.0 - pr.theta) * shot.legs[1].dy[-1] * _MIRROR)
+        n -= 1
+        J[:, -1] = (pr.theta * shot.legs[0].dy[-1]
+                    - (1.0 - pr.theta) * shot.legs[1].dy[-1] * _MIRROR)
+        kw = _leg_options(pr)
+        moved = {(_side_key(pr, end, row), reach): leg
+                 for (end, rows), leg, reach in zip(_end_rows(pr, u, h), shot.legs, shot.reach)
+                 for row in rows[1:]}
+        for (key, reach), leg in moved.items():
+            if key not in sides:
+                continue
+            germ, legs = sides[key]
+            try:
+                col = integrate_germ(germ, reach, replay=leg, **kw)
+            except GermConstructionError as exc:
+                _log.debug("a column's side is not replayed: %s", exc)
+                continue
+            if col.reason == "reached_target":
+                sides[key] = (germ, {**legs, reach: col})
+            else:
+                _log.debug("a column's side is not replayed: its replay stopped "
+                           "short of the match point (%s)", col.reason)
     for i in range(n):
         up = u.copy()
         up[i] += h[i]
-        J[:, i] = (match_residual(pr, up, base=base) - shot.residual) / h[i]
+        J[:, i] = (match_residual(pr, up, sides) - shot.residual) / h[i]
     return J
-
-
-class _ReplayStopped(RuntimeError):
-    """A replayed leg stopped short of the match point."""
-
-
-def _replayed_sides(pr, shot, keys):
-    """The sides of ``shot``'s germ-parameter columns: ``keys`` holds each
-    end's column keys, whose germs ``shot``'s side cache holds, and no germ
-    is built here.  Each column germ hands off at the offset of its end's
-    leg in ``shot`` and replays that leg's accepted steps, in a side of its
-    own.  A mirror shot's right columns have the left columns' keys, so
-    they find the left columns' sides and replay nothing."""
-    sides = {}
-    kw = _leg_options(pr)
-    for end_keys, leg, reach in zip(keys, shot.legs, shot.reach):
-        for key in end_keys:
-            germ, legs = sides.setdefault(key, (shot.sides[key][0], {}))
-            if reach not in legs:
-                legs[reach] = integrate_germ(germ, reach, replay=leg, **kw)
-                if legs[reach].reason != "reached_target":
-                    raise _ReplayStopped("a replayed leg stopped short of the match point")
-    return sides
 
 
 def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
     """Damped Gauss-Newton on the match residual.  Each shot it makes, the
-    guess's and each line-search try's, is seeded (``_seeded_shot``): one
-    staircase per end builds the shot's germ and the germs of its
-    Jacobian's columns.  Its forward-difference Jacobian (``_jacobian``)
-    replays each iterate's own legs from those germs when both reached the
-    match point.  A penalised iterate keeps column shots, which find their
-    germs seeded: its penalty's gradient lies in the legs' stop times, and
-    a replay freezes those.  Raises NonConvergence with the best iterate on
-    failure.  Logs each step's residual norm to the "c1einstein" logger at
-    DEBUG."""
+    guess's and each line-search try's, is seeded (``_seeded_shot``) with
+    its germ and its Jacobian columns' germs, one staircase per end, and
+    its forward-difference Jacobian (``_jacobian``) replays a reached
+    iterate's own legs from those germs.  Raises NonConvergence with the
+    best iterate on failure.  Logs each step's residual norm to the
+    "c1einstein" logger at DEBUG."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     if not 0.0 < tol < np.inf:
@@ -429,8 +408,8 @@ def scan(pr: ShootingProblem, grid, jobs=1):
     if jobs != 1:
         raise ValueError(f"scan runs on one thread, got jobs = {jobs}")
     grid = [np.asarray(u, dtype=float) for u in grid]
-    anchor = Shot((), (), np.empty(0))  # an empty shot: every point shares its side cache
-    norms = {i: float(np.max(np.abs(match_residual(pr, grid[i], base=anchor))))
+    sides = {}
+    norms = {i: float(np.max(np.abs(match_residual(pr, grid[i], sides))))
              for i in sorted(range(len(grid)), key=lambda i: pr.split(grid[i])[2])}
     return [(u, norms[i]) for i, u in enumerate(grid)]
 

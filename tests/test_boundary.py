@@ -242,7 +242,7 @@ def test_a_jacobian_column_takes_its_base_legs_sample_times(case_id, k, monkeypa
         return cols[-1][0]
 
     for u in starts:
-        shot = shooting.shoot(pr, u)
+        shot = shooting._seeded_shot(pr, u)
         monkeypatch.setattr(shooting, "integrate_germ", recording)
         shooting._jacobian(pr, u, shot)
         monkeypatch.undo()
