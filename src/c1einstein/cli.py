@@ -87,10 +87,26 @@ CSV_HEADER = ("t,f1,f2,f3,df1,df2,df3,L1,L2,L3,R1,R2,R3,"
               "A1,A2,A3,B1,B2,B3,a1,a2,a3,b1,b2,b3,constraint")
 
 
+def _write_csv(path, rows, header):
+    """Write a 2-D array as comma-separated rows of %.17g values under a
+    header line: np.savetxt's bytes for that format and a non-empty header.
+    Each block of 64 rows is one %-format of its Python floats, so no numpy
+    scalar is boxed per value and no whole-file string is built."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join([_FMT] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(rows), 64):
+            block = rows[i:i + 64]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def emit(sr, out_dir, topology=None):
     """Persist a converged solution: solution.csv, constants.txt,
-    diagnostics.json.  ``topology`` is the solution's TopologyReport when
-    the caller already holds it; it is computed here otherwise."""
+    diagnostics.json.  solution.csv holds the trajectory's diagnostics, one
+    row per sample, written by ``_write_csv``.  ``topology`` is the
+    solution's TopologyReport when the caller already holds it; it is
+    computed here otherwise."""
     os.makedirs(out_dir, exist_ok=True)
     d = sr.trajectory.diagnostics()
     rows = np.column_stack([
@@ -98,7 +114,7 @@ def emit(sr, out_dir, topology=None):
         d["a"], d["b"], d["constraint"],
     ])
     csv_path = os.path.join(out_dir, "solution.csv")
-    np.savetxt(csv_path, rows, fmt=_FMT, delimiter=",", header=CSV_HEADER, comments="")
+    _write_csv(csv_path, rows, CSV_HEADER)
 
     const_path = os.path.join(out_dir, "constants.txt")
     with open(const_path, "w") as fh:
@@ -170,8 +186,7 @@ def _scan(args, cfg):
     results = scan(pr, grid)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "scan.csv")
-    np.savetxt(path, [[*u, r] for u, r in results], fmt=_FMT, delimiter=",",
-               header=",".join(pr.unknown_names + ("residual",)), comments="")
+    _write_csv(path, [[*u, r] for u, r in results], ",".join(pr.unknown_names + ("residual",)))
     best = min(results, key=lambda ur: ur[1])
     print(f"scanned {len(results)} points; best |residual| = {best[1]:.3e}")
     print(f"wrote {path}")

@@ -37,6 +37,9 @@ _PANELS = 24
 _NODES = 12
 # the (nodes, weights) of that rule, read-only; see _gauss_legendre
 _GAUSS_LEGENDRE = None
+# the component of core.uij_residual and its sign for each ratio pair (i, j)
+_RATIO_PAIRS = {(1, 2): (0, 1.0), (2, 3): (1, 1.0), (3, 1): (2, 1.0),
+                (2, 1): (0, -1.0), (3, 2): (1, -1.0), (1, 3): (2, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,10 @@ def characteristic_numbers(sr: SolutionReport) -> TopologyReport:
     tau = kappa_tau * Integral( sum (a_i - lam/3)^2 - sum (b_i - lam/3)^2 ) dvol,
     dvol = V f1 f2 f3 dt with the diagram's orbit volume V.  The endpoint
     neighborhoods are covered by the germ series, the interior by the dense
-    trajectory.
+    trajectory.  Each of the three segments is evaluated once, on the nodes
+    of the _PANELS and 2 _PANELS rules together.  The evaluations and the
+    density work row by row and each panel sums its own nodes, so each
+    rule's sums are those of an evaluation on its nodes alone, bit for bit.
     """
     d = sr.diagram
     lam = sr.lam
@@ -184,25 +190,24 @@ def characteristic_numbers(sr: SolutionReport) -> TopologyReport:
 
     x, w = _gauss_legendre()
 
-    def run(npan):
-        def seg(lo, hi, ev):
-            # every node of every panel in one call, the panels summed in order
+    def seg(lo, hi, ev):
+        # the panels of both rules, coarse then fine, in one evaluation;
+        # (coarse, fine) sums, each rule's panels added in order
+        mid, half = [], []
+        for npan in (_PANELS, 2 * _PANELS):
             edges = np.linspace(lo, hi, npan + 1)
-            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-            f, df = ev((mid[:, None] + half[:, None] * x).ravel())
-            panels = half * np.sum(w * density(f, df).reshape(2, npan, -1), axis=-1)
-            return np.add.accumulate(panels, axis=1)[:, -1]
+            mid.append(0.5 * (edges[:-1] + edges[1:]))
+            half.append(0.5 * (edges[1:] - edges[:-1]))
+        mid, half = np.concatenate(mid), np.concatenate(half)
+        f, df = ev((mid[:, None] + half[:, None] * x).ravel())
+        panels = half * np.sum(w * density(f, df).reshape(2, len(half), -1), axis=-1)
+        return np.stack([np.add.accumulate(p, axis=1)[:, -1]
+                         for p in np.split(panels, [_PANELS], axis=1)])
 
-        total = np.zeros(2)
-        # germ windows at both ends, each as wide as its germ's hand-off
-        # offset, and the dense trajectory between
-        total += seg(0.0, t_lo, gl.eval)
-        total += seg(0.0, sr.T - t_hi, right)
-        total += seg(t_lo, t_hi, traj.eval)
-        return total
-
-    c1 = run(_PANELS)
-    c2 = run(2 * _PANELS)
+    # germ windows at both ends, each as wide as its germ's hand-off
+    # offset, and the dense trajectory between, added to 0 in that order
+    c1, c2 = sum((seg(0.0, t_lo, gl.eval), seg(0.0, sr.T - t_hi, right),
+                  seg(t_lo, t_hi, traj.eval)), np.zeros((2, 2)))
     chi = KAPPA_CHI * c2[0]
     tau = KAPPA_TAU * c2[1]
     change = max(abs(KAPPA_CHI) * abs(c2[0] - c1[0]),
@@ -230,23 +235,22 @@ def max_principle_check(sr: SolutionReport, pairs=((1, 2), (2, 3), (3, 1))):
     extremum (computed from dense samples and the analytic right-hand side)
     with whether it is below 1e-7.
     """
+    # each pair's residual component and sign, checked before any work: the
+    # ratio equation is antisymmetric under swapping the pair
+    try:
+        checks = [((i, j), *_RATIO_PAIRS[(i, j)]) for i, j in pairs]
+    except KeyError as e:
+        raise ValueError(f"unknown ratio pair {e.args[0]}") from None
     traj = sr.trajectory
     ts = np.linspace(traj.t[0], traj.t[-1], 4001)
     f, df = traj.eval(ts)
     out = {}
-    for i, j in pairs:
+    for (i, j), pair_pos, sign in checks:
         u = np.log(f[:, i - 1] / f[:, j - 1])
         m = int(np.argmax(u))
         # equation residual at the extremum from analytic second derivatives
         ddf = core.frame_rhs(f[m], df[m], sr.lam)
         res = core.uij_residual(f[m], df[m], ddf)
-        # the ratio equation is antisymmetric under swapping the pair
-        try:
-            pair_pos, sign = {(1, 2): (0, 1.0), (2, 3): (1, 1.0),
-                              (3, 1): (2, 1.0), (2, 1): (0, -1.0),
-                              (3, 2): (1, -1.0), (1, 3): (2, -1.0)}[(i, j)]
-        except KeyError:
-            raise ValueError(f"unknown ratio pair {(i, j)}") from None
         out[(i, j)] = {
             "sup": float(u[m]),
             "argmax": float(ts[m]),

@@ -246,20 +246,25 @@ def _structure(end: EndCondition, order: int) -> _Structure:
 
     st = _Structure(base.ravel(), np.array(rows), names,
                     {p: names.index(s) for p, s in zip(end.free, pins)}, N)
-    L = N + 4  # Taylor orders of P in use
-    # the first Taylor order of P each slot affects, at a generic point
-    g = np.random.default_rng(12345).uniform(0.3, 1.1, size=len(names))
-    r = _probe(st, g[None], np.arange(len(names)), _LAM_GENERIC, L)[0]
+    # the first Taylor order of P each slot affects, at a generic point, in
+    # the N + 4 Taylor orders of P in use
+    r = _probe(st, _generic_point(len(names)), np.arange(len(names)), _LAM_GENERIC, N + 4)[0]
     scale = max(np.max(np.abs(r[0])), 1.0)
-    hit = np.abs(r[1::2] - r[0]).max(axis=1) > 1e-9 * scale  # (slots, L)
+    hit = np.abs(r[1::2] - r[0]).max(axis=1) > 1e-9 * scale  # (slots, N + 4)
     absent = ~hit.any(axis=1)
     if absent.any():
         raise GermConstructionError(
             f"slot {names[absent.argmax()]} never enters the residual")
     st.first = hit.argmax(axis=1)
-    wanted = [s for s, n in enumerate(lowest) if n <= order]  # slots in the germ's orders
-    st.m_stop = int(max(st.first[wanted]))
+    # the last of those orders moved by a slot in the germ's orders
+    st.m_stop = int(max(st.first[[s for s, n in enumerate(lowest) if n <= order]]))
     return st
+
+
+def _generic_point(n):
+    # one row of n slot values k = 1 .. n, 0.3 + 0.8 frac(k / golden ratio):
+    # fixed, spread over [0.3, 1.1), and built without numpy.random
+    return 0.3 + 0.8 * (np.arange(1, n + 1)[None] * 0.6180339887498949 % 1.0)
 
 
 def _apply(st: _Structure, values) -> np.ndarray:
@@ -311,8 +316,7 @@ def _pmul(a, b, L):
 
 
 def _pder(a):
-    n = np.arange(1, a.shape[-1])
-    return a[..., 1:] * n
+    return a[..., 1:] * np.arange(1, a.shape[-1])
 
 
 def _poly_residual(c, lam, L):

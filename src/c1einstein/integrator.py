@@ -80,7 +80,11 @@ class Trajectory:
         return self.y[:, 3:]
 
     def eval(self, ts):
-        """Cubic Hermite evaluation of (f, df) at arbitrary times in range."""
+        """Cubic Hermite evaluation of (f, df) at arbitrary times in range.
+
+        Each row depends on its own time only, so an evaluation on a grid
+        has the bits of evaluations on its parts.  At a sample time the
+        weights are exactly 1 and 0: the sample comes back unchanged."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if np.any(ts < self.t[0] - 1e-12) or np.any(ts > self.t[-1] + 1e-12):
             raise ValueError("evaluation time outside the integrated range")
@@ -91,13 +95,18 @@ class Trajectory:
         h = dt[:, None]
         s = ((ts - t0) / dt)[:, None]
         s2, s3 = s**2, s**3
-        y0, y1 = self.y[idx], self.y[idx + 1]
-        m0, m1 = self.dy[idx] * h, self.dy[idx + 1] * h
-        h00 = 2 * s3 - 3 * s2 + 1
-        h10 = s3 - 2 * s2 + s
-        h01 = -2 * s3 + 3 * s2
-        h11 = s3 - s2
-        y = h00 * y0 + h10 * m0 + h01 * y1 + h11 * m1
+        # y = h00 y0 + h10 (dy0 h) + h01 y1 + h11 (dy1 h), added left to right
+        # into one buffer: each later term is gathered into tmp and scaled in place
+        y = self.y[idx]
+        y *= 2 * s3 - 3 * s2 + 1
+        tmp = np.empty_like(y)
+        for rows, i, w in ((self.dy, idx, s3 - 2 * s2 + s), (self.y, idx + 1, -2 * s3 + 3 * s2),
+                           (self.dy, idx + 1, s3 - s2)):
+            rows.take(i, axis=0, out=tmp)
+            if rows is self.dy:
+                tmp *= h  # a slope times the step is the tangent
+            tmp *= w
+            y += tmp
         return y[:, :3], y[:, 3:]
 
     def diagnostics(self):

@@ -397,6 +397,27 @@ def test_poly_residual_matches_the_written_out_form(end, monkeypatch):
         assert ref.m_stop == germs._structure(end, order).m_stop
 
 
+def test_the_generic_point_schedules_the_slots_as_the_seeded_rng_did(monkeypatch):
+    # _structure's first-order scan once drew its point from
+    # default_rng(12345).uniform(0.3, 1.1); the fixed sequence that replaced
+    # it finds the same first orders and m_stop on every end, Hitchin k <= 8
+    ends = {}
+    for d in diagram_catalog() + [get_diagram("so3_hitchin", k) for k in range(4, 9)]:
+        ends.update(dict.fromkeys((d.left, d.right)))
+    assert len(ends) == 16
+    point = germs._generic_point(40)
+    assert point.shape == (1, 40) and np.all((0.3 <= point) & (point < 1.1))
+    assert len(np.unique(point)) == 40
+    fixed = {(end, order): germs._structure.__wrapped__(end, order)
+             for end in ends for order in range(4, 13)}
+    monkeypatch.setattr(germs, "_generic_point", lambda n: np.random.default_rng(
+        12345).uniform(0.3, 1.1, size=(1, n)))
+    for (end, order), st in fixed.items():
+        drawn = germs._structure.__wrapped__(end, order)
+        assert np.array_equal(st.first, drawn.first), (end, order)
+        assert st.m_stop == drawn.m_stop, (end, order)
+
+
 # ---------------------------------------------------------------------------
 # free germ parameters
 # ---------------------------------------------------------------------------

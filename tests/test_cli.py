@@ -1,6 +1,9 @@
 """Command-line front end: output formats, config parsing, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +92,32 @@ def test_emit_deterministic(tmp_path, solutions):
         assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
+def test_solution_csv_reads_back_the_diagnostics_bit_for_bit(tmp_path, solutions):
+    sr = solutions("so3_s2xs2")
+    emit(sr, tmp_path)
+    d = sr.trajectory.diagnostics()
+    want = np.column_stack([d["t"], d["f"], d["df"], d["L"], d["R"], d["A"], d["B"],
+                            d["a"], d["b"], d["constraint"]])
+    got = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [1, 65])
+def test_the_csv_writer_writes_savetxts_bytes(tmp_path, n_rows):
+    # 65 rows are one full block of 64 and a block of one
+    edge = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16]
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((n_rows, 26)) * 10.0 ** rng.integers(-300, 300, (n_rows, 26))
+    rows[0, :len(edge)] = edge
+    rows[-1, -len(edge):] = edge[::-1]
+    cli._write_csv(tmp_path / "new.csv", rows, CSV_HEADER)
+    np.savetxt(tmp_path / "ref.csv", rows, fmt="%.17g", delimiter=",",
+               header=CSV_HEADER, comments="")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert len((tmp_path / "new.csv").read_text().splitlines()) == 1 + n_rows
+
+
 def test_csv_header_matches_diagnostics_layout():
     names = CSV_HEADER.split(",")
     assert len(names) == 26
@@ -115,6 +144,25 @@ def test_verify_command_passes(tmp_path, capsys):
         assert "PASS match_residual" in out
         assert "PASS chi" in out and "PASS tau" in out
         assert "FAIL" not in out
+
+
+# runs a verify and prints its exit code and whether numpy.random was imported
+_VERIFY_SCRIPT = """
+import sys
+from c1einstein import cli
+rc = cli.run(["verify", "--diagram", "so3_s4", "--out", sys.argv[1]])
+print(rc, "numpy.random" in sys.modules)
+"""
+
+
+def test_verify_does_not_import_numpy_random(tmp_path):
+    # only a perturbed start draws random numbers; a plain verify needs none
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _VERIFY_SCRIPT, str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == f"{EXIT_PASS} False"
 
 
 def test_verify_out_integrates_the_curvature_once(tmp_path, monkeypatch):

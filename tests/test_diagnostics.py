@@ -18,6 +18,7 @@ from c1einstein.diagnostics import (ConeSpec, characteristic_numbers,
                                     fd_curvature_oracle, invariant_constants,
                                     kahler_detector, max_principle_check)
 from c1einstein.germs import get_diagram
+from c1einstein.integrator import Trajectory
 from c1einstein.oracles import oracle
 from c1einstein.presets import initial_guess
 from c1einstein.shooting import ShootingProblem, solve
@@ -234,6 +235,17 @@ def test_ratio_bounds_on_conic_solution(solutions):
     assert rep[(3, 2)]["nonpositive"]
     with pytest.raises(ValueError, match="unknown ratio pair"):
         max_principle_check(sr, pairs=((1, 1),))
+
+
+def test_an_unknown_ratio_pair_is_refused_before_any_evaluation(solutions, monkeypatch):
+    sr = solutions("so3_cp2")
+
+    def no_eval(self, ts):
+        raise AssertionError("the trajectory was evaluated before the pairs were checked")
+
+    monkeypatch.setattr(Trajectory, "eval", no_eval)
+    with pytest.raises(ValueError, match=r"^unknown ratio pair \(1, 4\)$"):
+        max_principle_check(sr, pairs=((1, 2), (2, 3), (1, 4)))
 
 
 def test_argmax_stable_under_resampling(solutions):

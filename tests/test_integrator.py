@@ -454,11 +454,40 @@ def test_eval_range_checked():
         traj.eval(2.5)
 
 
-def test_eval_reproduces_nodes_exactly():
-    _, traj = _round_traj()
-    f, df = traj.eval(traj.t)
-    assert np.array_equal(f, traj.f)
-    assert np.array_equal(df, traj.df)
+def test_eval_reproduces_nodes_exactly(solutions):
+    # the s = 0 and s = 1 Hermite weights are exact, so a sample time gives
+    # back the sample bit for bit, the last one (s = 1 on the last step) included
+    for traj in (_round_traj()[1], solutions("so3_s2xs2").trajectory):
+        f, df = traj.eval(traj.t)
+        assert f.tobytes() == traj.f.tobytes() and df.tobytes() == traj.df.tobytes()
+
+
+def test_eval_reproduces_a_cubic_from_its_samples_and_slopes():
+    # on each step the Hermite interpolant of a cubic's values and slopes is
+    # that cubic, so between uneven samples eval meets it to rounding
+    c = np.random.default_rng(5).uniform(-2.0, 2.0, (4, 6))  # y = c0 + c1 t + ...
+    t = np.array([0.25, 0.4, 0.45, 1.1, 1.7, 2.0])
+
+    def cubic(ts):
+        p = ts[:, None] ** np.arange(4)
+        return p @ c, p[:, :3] @ (c[1:] * np.arange(1, 4)[:, None])
+
+    traj = Trajectory(t, *cubic(t), 3.0, "reached_target", 0)
+    ts = np.linspace(t[0], t[-1], 301)
+    f, df = traj.eval(ts)
+    y, _ = cubic(ts)
+    assert np.max(np.abs(np.hstack([f, df]) - y)) < 1e-13
+
+
+def test_eval_rows_do_not_depend_on_the_rest_of_the_grid(solutions):
+    # one call on a grid has the bits of calls on its parts: the chi/tau
+    # quadrature evaluates two rules' nodes in one call on that ground
+    traj = solutions("su2_cp2bar").trajectory
+    ts = np.linspace(traj.t[0], traj.t[-1], 4001)
+    whole = np.hstack(traj.eval(ts))
+    parts = np.vstack([np.hstack(traj.eval(part)) for part in (ts[:1733], ts[1733:])])
+    assert whole.tobytes() == parts.tobytes()
+    assert whole[1733:1734].tobytes() == np.hstack(traj.eval(ts[1733])).tobytes()
 
 
 def test_diagnostics_contents():
