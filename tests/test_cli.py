@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from c1einstein import cli, shooting
+from c1einstein import cli, diagnostics, integrator, shooting
 from c1einstein.cli import (CSV_HEADER, ConfigError, EXIT_CHECK_FAILURE,
                             EXIT_NONCONVERGENCE, EXIT_PASS, EXIT_USAGE, emit,
                             load_config, run)
@@ -166,23 +166,83 @@ def test_verify_does_not_import_numpy_random(tmp_path):
 
 
 def test_verify_out_integrates_the_curvature_once(tmp_path, monkeypatch):
-    real = cli.characteristic_numbers
+    # each command builds one record: every certificate runs once, and the
+    # trajectory's curvature is computed by drift_report in solve, the
+    # record's Kaehler test and eigen gaps, and emit's CSV rows
     calls = []
 
-    def counted(sr, *args, **kw):
-        calls.append(sr.diagram.name)
-        return real(sr, *args, **kw)
+    def counting(name, fn):
+        def counted(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        return counted
 
-    monkeypatch.setattr(cli, "characteristic_numbers", counted)
+    once = ["characteristic_numbers", "detect_equal_pairs", "eigen_gap_report",
+            "kahler_detector"]
+    for name in once:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    monkeypatch.setattr(integrator.Trajectory, "diagnostics",
+                        counting("diagnostics", integrator.Trajectory.diagnostics))
     argv = ["--diagram", "su2_cp2", "--out"]
-    assert run(["verify"] + argv + [str(tmp_path / "v")]) == EXIT_PASS
-    # the chi/tau checks and diagnostics.json share one report
-    assert calls == ["su2_cp2"]
-    assert run(["solve"] + argv + [str(tmp_path / "s")]) == EXIT_PASS
-    assert calls == ["su2_cp2"] * 2
+    for command, n_curvature in (("verify", 4), ("solve", 4), ("report", 3)):
+        calls.clear()
+        assert run([command] + argv + [str(tmp_path / command)]) == EXIT_PASS
+        assert sorted(calls) == sorted(once + ["diagnostics"] * n_curvature), command
     for name in ("diagnostics.json", "constants.txt", "solution.csv"):
-        assert ((tmp_path / "v" / name).read_bytes()
-                == (tmp_path / "s" / name).read_bytes()), name
+        assert ((tmp_path / "verify" / name).read_bytes()
+                == (tmp_path / "solve" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("case_id", ["so3_cp2", "su2_cp2bar"])
+def test_printed_certificates_are_the_records(tmp_path, capsys, case_id):
+    # so3_cp2 is Kaehler, Page's su2_cp2bar is not
+    assert run(["verify", "--diagram", case_id, "--out", str(tmp_path)]) == EXIT_PASS
+    verified = capsys.readouterr().out.splitlines()
+    assert run(["report", "--diagram", case_id]) == EXIT_PASS
+    reported = capsys.readouterr().out.splitlines()
+    rec = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert rec["kahler"]["is_kahler"] is (case_id == "so3_cp2")
+    assert f"  kahler: {str(rec['kahler']['is_kahler']).lower()}" in verified
+    assert f"PASS chi ({rec['chi']:.6f})" in verified
+    assert f"PASS tau ({rec['tau']:.6f})" in verified
+    assert reported[-4:] == [f"a_spread  {rec['eigen_gaps']['a_spread']:.3e}",
+                             f"b_spread  {rec['eigen_gaps']['b_spread']:.3e}",
+                             f"chi       {rec['chi']:.9f}",
+                             f"tau       {rec['tau']:.9f}"]
+
+
+def _nan_ratio_residual(sr):
+    out = diagnostics.max_principle_check(sr)
+    out[(2, 3)]["eq_residual"] = np.nan
+    return out
+
+
+def _nan_trace_drift(pr, guess, **kw):
+    sr = shooting.solve(pr, guess, **kw)
+    sr.drift["max_trace_b"] = np.nan
+    return sr
+
+
+@pytest.mark.parametrize("attr,patched,check", [
+    ("max_principle_check", _nan_ratio_residual, "ratio_equation_extrema"),
+    ("solve", _nan_trace_drift, "trace_drift"),
+])
+def test_a_nan_fails_its_verify_check(tmp_path, capsys, monkeypatch, attr, patched, check):
+    # Python's max skips a NaN that does not come first: max(1e-12, nan) is 1e-12
+    monkeypatch.setattr(cli, attr, patched)
+    code = run(["verify", "--diagram", "so3_s4", "--out", str(tmp_path)])
+    assert f"FAIL {check} (nan)" in capsys.readouterr().out.splitlines()
+    assert code == EXIT_CHECK_FAILURE
+
+
+def test_emit_writes_no_coerced_value(tmp_path, monkeypatch, solutions):
+    # a numpy bool is not JSON, and emit does not write it as a float (1.0)
+    real = cli.kahler_detector
+    monkeypatch.setattr(cli, "kahler_detector",
+                        lambda sr: {**real(sr), "is_kahler": np.True_})
+    with pytest.raises(TypeError, match="bool"):
+        emit(solutions("so3_cp2"), tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_detects_degraded_solution(tmp_path, capsys):
