@@ -3,13 +3,15 @@
 Configuration is flat `key = value` text with command-line overrides; outputs
 are a trajectory CSV, a flat constants file and a JSON diagnostics document,
 all at 17 significant digits.  Exit codes: 0 pass, 1 check failure,
-2 non-convergence, 3 usage error.
+2 non-convergence, 3 usage error (a bad input, found before any shot), and
+4 defect: any other exception, which `run` raises and `main` prints.
 """
 
 import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -18,15 +20,16 @@ from .diagnostics import (characteristic_numbers, eigen_gap_report,
                           max_principle_check)
 from .germs import DIAGRAM_IDS, get_diagram
 from .presets import initial_guess, scan_box
-from .shooting import (NonConvergence, ShootingProblem, detect_equal_pairs,
-                       scan, solve)
+from .shooting import (NonConvergence, ShootingProblem, check_solve_options,
+                       detect_equal_pairs, scan, solve)
 
-__all__ = ["main", "run", "emit", "load_config"]
+__all__ = ["main", "run", "certificates", "emit", "load_config"]
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_USAGE = 3
+EXIT_DEFECT = 4
 
 _FMT = "%.17g"
 
@@ -50,12 +53,16 @@ _CONFIG_KEYS = {
 _MIN_GERM_ORDER = 7
 
 
-class ConfigError(ValueError):
+class UsageError(ValueError):
+    """A bad input to a command, found before any shot."""
+
+
+class ConfigError(UsageError):
     pass
 
 
 def load_config(path):
-    """Flat key = value parser; comments with '#', unknown keys rejected."""
+    """Flat key = value parser; comments with '#', unknown and repeated keys rejected."""
     cfg = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -68,6 +75,8 @@ def load_config(path):
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in cfg:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
                 cfg[key] = _CONFIG_KEYS[key](val.strip())
             except ValueError:
@@ -77,10 +86,6 @@ def load_config(path):
                                   f"{_MIN_GERM_ORDER} to meet the germ defect target, "
                                   f"got {cfg[key]}")
     return cfg
-
-
-def _fmt(x):
-    return _FMT % float(x)
 
 
 CSV_HEADER = ("t,f1,f2,f3,df1,df2,df3,L1,L2,L3,R1,R2,R3,"
@@ -102,30 +107,47 @@ def _write_csv(path, rows, header):
 
 
 def certificates(sr):
-    """diagnostics.json's record, each certificate computed once; verify and report print it."""
+    """diagnostics.json's record, each certificate computed once and each check judged
+    once: it passes when |value - target| < tol, so a NaN fails.  Commands only read it."""
+    # first, with no certificate held: its 4001-point evaluation sets the peak
+    ratio = np.max([abs(v["eq_residual"]) for v in max_principle_check(sr).values()])
     tr = characteristic_numbers(sr)
+    pr, dr, (chi, tau) = sr.problem, sr.drift, sr.diagram.chi_tau
+    checks = {  # name: (value, target, tol) in verify's order; np.max, unlike max, keeps a NaN
+        "match_residual": (sr.residual_norm, 0.0, 1e-9),
+        "jacobian_rank": (sr.jacobian_rank, len(sr.u), 1),
+        "constraint_drift": (dr["max_constraint"], 0.0, 1e-7),
+        "trace_drift": (float(np.max([dr["max_trace_a"], dr["max_trace_b"]])), 0.0, 1e-7),
+        "ratio_equation_extrema": (float(ratio), 0.0, 1e-7),
+        "chi": (tr.chi, float(chi), 1e-3),
+        "tau": (tr.tau, float(tau), 1e-3),
+    }
     return {
         "diagram": sr.diagram.name,
         "converged": sr.converged,
         "residual_norm": sr.residual_norm,
         "jacobian_rank": sr.jacobian_rank,
-        "unknowns": {n: float(v) for n, v in zip(sr.problem.unknown_names, sr.u)},
-        "drift": sr.drift,
+        "unknowns": {n: float(v) for n, v in zip(pr.unknown_names, sr.u)},
+        "drift": dr,
         "equal_pairs": sorted(list(p) for p in detect_equal_pairs(sr)),
         "eigen_gaps": eigen_gap_report(sr),
         "kahler": kahler_detector(sr),
         "chi": tr.chi,
         "tau": tr.tau,
         "quadrature_doubling_change": tr.node_doubling_change,
+        "checks": {name: {"value": v, "target": t, "tol": tol, "passed": bool(abs(v - t) < tol)}
+                   for name, (v, t, tol) in checks.items()},
+        "constants": {n: float(v) for n, v in invariant_constants(sr).as_dict().items()},
+        "settings": {k: getattr(pr, k) for k in ("lam", "theta", "germ_order", "rtol", "atol")},
     }
 
 
-def emit(sr, out_dir, record=None):
+def emit(sr, out_dir, record):
     """Persist a converged solution: solution.csv, the trajectory's
     diagnostics one row per sample (``_write_csv``), constants.txt, and
-    diagnostics.json, the ``record`` of ``certificates`` (built here when
-    None).  A value json cannot write raises TypeError, and no file is written."""
-    text = json.dumps(certificates(sr) if record is None else record, indent=2, sort_keys=True)
+    diagnostics.json, the ``record`` of ``certificates``.  A value json
+    cannot write raises TypeError, and no file is written."""
+    text = json.dumps(record, indent=2, sort_keys=True)
     os.makedirs(out_dir, exist_ok=True)
     d = sr.trajectory.diagnostics()
     rows = np.column_stack([
@@ -136,15 +158,13 @@ def emit(sr, out_dir, record=None):
     _write_csv(csv_path, rows, CSV_HEADER)
 
     const_path = os.path.join(out_dir, "constants.txt")
+    free = {**{f"left.{k}": v for k, v in sr.left_free.items()},
+            **{f"right.{k}": v for k, v in sr.right_free.items()}}
     with open(const_path, "w") as fh:
         fh.write(f"diagram = {sr.diagram.name}\n")
-        fh.write(f"lambda = {_fmt(sr.lam)}\n")
-        fh.write(f"T = {_fmt(sr.T)}\n")
-        for name, val in sorted({**{f"left.{k}": v for k, v in sr.left_free.items()},
-                                 **{f"right.{k}": v for k, v in sr.right_free.items()}}.items()):
-            fh.write(f"{name} = {_fmt(val)}\n")
-        for name, val in sorted(invariant_constants(sr).as_dict().items()):
-            fh.write(f"{name} = {_fmt(val)}\n")
+        for name, val in [("lambda", sr.lam), ("T", sr.T), *sorted(free.items()),
+                          *sorted(record["constants"].items())]:
+            fh.write(f"{name} = {_FMT % float(val)}\n")
 
     json_path = os.path.join(out_dir, "diagnostics.json")
     with open(json_path, "w") as fh:
@@ -157,25 +177,38 @@ def _given(cfg, **keys):
     return {arg: cfg[key] for arg, key in keys.items() if key in cfg}
 
 
-def _problem(args, cfg):
-    kw = _given(cfg, theta="theta", germ_order="germ_order", rtol="rtol", atol="atol")
-    return ShootingProblem(get_diagram(args.diagram, args.k), **kw)
+def _inputs(args):
+    """A command's problem, start (the scan's grid, else the shipped guess moved
+    by ``perturb``) and solve options, checked before any shot: UsageError if bad."""
+    if args.command != "report":
+        # an --out that is empty, names a file or lies below one is no directory
+        nearest = os.path.abspath(args.out)
+        while not os.path.exists(nearest):
+            nearest = os.path.dirname(nearest)
+        if not args.out or not os.path.isdir(nearest):
+            raise UsageError(f"--out must name a directory, got {args.out!r}")
+    try:  # every error here is a bad input: no shot has run
+        cfg = load_config(args.config) if args.config else {}
+        kw = _given(cfg, theta="theta", germ_order="germ_order", rtol="rtol", atol="atol")
+        pr = ShootingProblem(get_diagram(args.diagram, args.k), **kw)
+        if args.command == "scan":
+            return pr, scan_box(args.diagram, args.k,
+                                **_given(cfg, width="scan_width", n="scan_points")), {}
+        opts = _given(cfg, max_iter="max_iter", tol="solver_tol")
+        check_solve_options(**opts)
+        guess = initial_guess(args.diagram, args.k)
+        if cfg.get("perturb", 0.0):
+            rng = np.random.default_rng(cfg.get("seed", 0))
+            guess = guess * (1.0 + cfg["perturb"] * rng.uniform(-1, 1, len(guess)))
+        pr.check_admissible(guess)
+    except (OSError, ValueError) as e:
+        raise UsageError(e) from None
+    return pr, guess, opts
 
 
-def _solved(args, cfg):
-    """Solve the configured problem from the shipped guess, perturbed by
-    the config's ``perturb`` and ``seed``."""
-    pr = _problem(args, cfg)
-    guess = initial_guess(args.diagram, args.k)
-    if cfg.get("perturb", 0.0):
-        rng = np.random.default_rng(cfg.get("seed", 0))
-        guess = guess * (1.0 + cfg["perturb"] * rng.uniform(-1, 1, len(guess)))
-    return solve(pr, guess, **_given(cfg, max_iter="max_iter", tol="solver_tol"))
-
-
-def _solve(args, cfg):
-    sr = _solved(args, cfg)
-    files = emit(sr, args.out)
+def _solve(args, pr, guess, opts):
+    sr = solve(pr, guess, **opts)
+    files = emit(sr, args.out, certificates(sr))
     print(f"converged diagram={sr.diagram.name} T={sr.T:.12g} "
           f"|residual|={sr.residual_norm:.3e}")
     for p in files:
@@ -183,9 +216,7 @@ def _solve(args, cfg):
     return EXIT_PASS
 
 
-def _scan(args, cfg):
-    pr = _problem(args, cfg)
-    grid = scan_box(args.diagram, args.k, **_given(cfg, width="scan_width", n="scan_points"))
+def _scan(args, pr, grid, _opts):
     results = scan(pr, grid)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "scan.csv")
@@ -196,44 +227,25 @@ def _scan(args, cfg):
     return EXIT_PASS
 
 
-def _check(name, ok, detail=""):
-    print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
-    return ok
-
-
-def _verify(args, cfg):
-    sr = _solved(args, cfg)
-    # first, with no certificate held: its 4001-point evaluation sets the peak
-    mp = max_principle_check(sr)
+def _verify(args, pr, guess, opts):
+    sr = solve(pr, guess, **opts)
     rec = certificates(sr)
-    ok = True
-    ok &= _check("match_residual", sr.residual_norm < 1e-9,
-                 f"{sr.residual_norm:.3e}")
-    ok &= _check("jacobian_rank", sr.jacobian_rank == len(sr.u), str(sr.jacobian_rank))
-    dr = rec["drift"]
-    ok &= _check("constraint_drift", dr["max_constraint"] < 1e-7,
-                 f"{dr['max_constraint']:.3e}")
-    trace = np.max([dr["max_trace_a"], dr["max_trace_b"]])  # unlike max, keeps a NaN
-    ok &= _check("trace_drift", trace < 1e-7, f"{trace:.3e}")
-    for name, val in sorted(invariant_constants(sr).as_dict().items()):
-        print(f"  {name} = {val:.6f}")
-    print(f"  kahler: {str(rec['kahler']['is_kahler']).lower()}")
-    worst = np.max([abs(v["eq_residual"]) for v in mp.values()])
-    ok &= _check("ratio_equation_extrema", worst < 1e-7, f"{worst:.3e}")
-    chi, tau = sr.diagram.chi_tau
-    ok &= _check("chi", abs(rec["chi"] - chi) < 1e-3, f"{rec['chi']:.6f}")
-    ok &= _check("tau", abs(rec["tau"] - tau) < 1e-3, f"{rec['tau']:.6f}")
-    emit(sr, args.out, record=rec)
-    return EXIT_PASS if ok else EXIT_CHECK_FAILURE
+    shown = {"jacobian_rank": "d", "chi": ".6f", "tau": ".6f"}  # the rest as .3e
+    checks = [f"{'PASS' if c['passed'] else 'FAIL'} {name} ({c['value']:{shown.get(name, '.3e')}})"
+              for name, c in rec["checks"].items()]
+    print(*checks[:4], *(f"  {name} = {val:.6f}" for name, val in sorted(rec["constants"].items())),
+          f"  kahler: {str(rec['kahler']['is_kahler']).lower()}", *checks[4:], sep="\n")
+    emit(sr, args.out, rec)
+    return EXIT_PASS if all(c["passed"] for c in rec["checks"].values()) else EXIT_CHECK_FAILURE
 
 
-def _report(args, cfg):
-    sr = _solved(args, cfg)
+def _report(args, pr, guess, opts):
+    sr = solve(pr, guess, **opts)
     rec = certificates(sr)
     print(f"diagram   {sr.diagram.name}")
     print(f"lambda    {sr.lam:g}")
     print(f"T         {sr.T:.12g}")
-    for name, val in sorted(invariant_constants(sr).as_dict().items()):
+    for name, val in sorted(rec["constants"].items()):
         print(f"{name:<9s} {val:.12g}")
     print(f"a_spread  {rec['eigen_gaps']['a_spread']:.3e}")
     print(f"b_spread  {rec['eigen_gaps']['b_spread']:.3e}")
@@ -255,37 +267,28 @@ def _parser():
 
 
 def run(argv=None):
+    """Run one command and return its exit code; a defect, any other exception, propagates."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_PASS
     try:
-        cfg = load_config(args.config) if args.config else {}
-    except (ConfigError, OSError) as e:
+        return {"solve": _solve, "scan": _scan,
+                "verify": _verify, "report": _report}[args.command](args, *_inputs(args))
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if args.command != "report":
-        # an --out that is empty, names a file or lies below one cannot be
-        # a directory: it fails here rather than after the solve
-        nearest = os.path.abspath(args.out)
-        while not os.path.exists(nearest):
-            nearest = os.path.dirname(nearest)
-        if not args.out or not os.path.isdir(nearest):
-            print(f"error: --out must name a directory, got {args.out!r}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        return {"solve": _solve, "scan": _scan,
-                "verify": _verify, "report": _report}[args.command](args, cfg)
     except NonConvergence as e:
         print(f"error: non-convergence: {e}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def main():
-    sys.exit(run())
+    try:
+        sys.exit(run())
+    except Exception:  # a defect
+        traceback.print_exc()
+        sys.exit(EXIT_DEFECT)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ __all__ = [
     "shoot",
     "match_residual",
     "solve",
+    "check_solve_options",
     "scan",
     "detect_equal_pairs",
 ]
@@ -348,6 +349,14 @@ def _jacobian(pr: ShootingProblem, u, shot: Shot):
     return J
 
 
+def check_solve_options(max_iter=40, tol=1e-9):
+    """ValueError unless max_iter >= 0 and 0 < tol < inf; the defaults are solve's."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got tol = {tol}")
+
+
 def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
     """Damped Gauss-Newton on the match residual.  Each shot it makes, the
     guess's and each line-search try's, is seeded (``_seeded_shot``) with
@@ -356,10 +365,7 @@ def solve(pr: ShootingProblem, guess, max_iter=40, tol=1e-9) -> SolutionReport:
     iterate's own legs from those germs.  Raises NonConvergence with the
     best iterate on failure.  Logs each step's residual norm to the
     "c1einstein" logger at DEBUG."""
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got tol = {tol}")
+    check_solve_options(max_iter, tol)
     u = np.asarray(guess, dtype=float).copy()
     pr.check_admissible(u)
     shot = _seeded_shot(pr, u)

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from c1einstein import cli, diagnostics, integrator, shooting
-from c1einstein.cli import (CSV_HEADER, ConfigError, EXIT_CHECK_FAILURE,
-                            EXIT_NONCONVERGENCE, EXIT_PASS, EXIT_USAGE, emit,
-                            load_config, run)
+from c1einstein.cli import (CSV_HEADER, ConfigError, EXIT_CHECK_FAILURE, EXIT_DEFECT,
+                            EXIT_NONCONVERGENCE, EXIT_PASS, EXIT_USAGE, UsageError,
+                            certificates, emit, load_config, run)
 from c1einstein.germs import get_diagram
 from c1einstein.presets import initial_guess, scan_box
 from c1einstein.shooting import NonConvergence, ShootingProblem, scan
@@ -33,6 +33,11 @@ def test_load_config_unknown_key_names_line(tmp_path):
     p.write_text("rtol = 1e-9\nbogus = 3\n")
     with pytest.raises(ConfigError, match=r":2: unknown key 'bogus'"):
         load_config(p)
+    # the last value does not silently win
+    p.write_text("rtol = 1e-9\n\nrtol = 1e-8\n")
+    with pytest.raises(ConfigError, match=r":3: duplicate key 'rtol'"):
+        load_config(p)
+    assert issubclass(ConfigError, UsageError)
 
 
 def test_load_config_malformed_line(tmp_path):
@@ -60,7 +65,7 @@ def test_load_config_rejects_a_germ_order_short_of_the_defect_target(tmp_path):
 
 def test_emit_files_and_roundtrip(tmp_path, solutions):
     sr = solutions("su2_s4")
-    files = emit(sr, tmp_path / "out")
+    files = emit(sr, tmp_path / "out", certificates(sr))
     assert [f.split("/")[-1] for f in files] == [
         "solution.csv", "constants.txt", "diagnostics.json"]
     with open(files[0]) as fh:
@@ -86,15 +91,15 @@ def test_emit_files_and_roundtrip(tmp_path, solutions):
 
 def test_emit_deterministic(tmp_path, solutions):
     sr = solutions("su2_s4")
-    a = emit(sr, tmp_path / "a")
-    b = emit(sr, tmp_path / "b")
+    a = emit(sr, tmp_path / "a", certificates(sr))
+    b = emit(sr, tmp_path / "b", certificates(sr))
     for pa, pb in zip(a, b):
         assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 def test_solution_csv_reads_back_the_diagnostics_bit_for_bit(tmp_path, solutions):
     sr = solutions("so3_s2xs2")
-    emit(sr, tmp_path)
+    emit(sr, tmp_path, certificates(sr))
     d = sr.trajectory.diagnostics()
     want = np.column_stack([d["t"], d["f"], d["df"], d["L"], d["R"], d["A"], d["B"],
                             d["a"], d["b"], d["constraint"]])
@@ -166,9 +171,10 @@ def test_verify_does_not_import_numpy_random(tmp_path):
 
 
 def test_verify_out_integrates_the_curvature_once(tmp_path, monkeypatch):
-    # each command builds one record: every certificate runs once, and the
-    # trajectory's curvature is computed by drift_report in solve, the
-    # record's Kaehler test and eigen gaps, and emit's CSV rows
+    # each command builds one record: every certificate, the ratio check and
+    # the endpoint constants run once, and the trajectory's curvature is
+    # computed by drift_report in solve, the record's Kaehler test and eigen
+    # gaps, and emit's CSV rows
     calls = []
 
     def counting(name, fn):
@@ -178,7 +184,7 @@ def test_verify_out_integrates_the_curvature_once(tmp_path, monkeypatch):
         return counted
 
     once = ["characteristic_numbers", "detect_equal_pairs", "eigen_gap_report",
-            "kahler_detector"]
+            "kahler_detector", "max_principle_check", "invariant_constants"]
     for name in once:
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     monkeypatch.setattr(integrator.Trajectory, "diagnostics",
@@ -201,6 +207,17 @@ def test_printed_certificates_are_the_records(tmp_path, capsys, case_id):
     assert run(["report", "--diagram", case_id]) == EXIT_PASS
     reported = capsys.readouterr().out.splitlines()
     rec = json.loads((tmp_path / "diagnostics.json").read_text())
+    # one printed verdict per check, the record's
+    verdicts = [line.split()[:2] for line in verified if line.startswith(("PASS", "FAIL"))]
+    assert dict((name, v) for v, name in verdicts) == {
+        name: "PASS" if c["passed"] else "FAIL" for name, c in rec["checks"].items()}
+    assert len(verdicts) == len(rec["checks"]) == 7
+    assert all(c["passed"] for c in rec["checks"].values())
+    assert [line for line in verified if " = " in line] == [
+        f"  {name} = {val:.6f}" for name, val in sorted(rec["constants"].items())]
+    assert [line.split()[0] for line in reported[3:-4]] == sorted(rec["constants"])
+    assert [float(line.split()[1]) for line in reported[3:-4]] == pytest.approx(
+        [val for _, val in sorted(rec["constants"].items())], rel=1e-11)
     assert rec["kahler"]["is_kahler"] is (case_id == "so3_cp2")
     assert f"  kahler: {str(rec['kahler']['is_kahler']).lower()}" in verified
     assert f"PASS chi ({rec['chi']:.6f})" in verified
@@ -233,6 +250,9 @@ def test_a_nan_fails_its_verify_check(tmp_path, capsys, monkeypatch, attr, patch
     code = run(["verify", "--diagram", "so3_s4", "--out", str(tmp_path)])
     assert f"FAIL {check} (nan)" in capsys.readouterr().out.splitlines()
     assert code == EXIT_CHECK_FAILURE
+    rec = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert rec["checks"][check]["passed"] is False
+    assert [n for n, c in rec["checks"].items() if not c["passed"]] == [check]
 
 
 def test_emit_writes_no_coerced_value(tmp_path, monkeypatch, solutions):
@@ -240,8 +260,9 @@ def test_emit_writes_no_coerced_value(tmp_path, monkeypatch, solutions):
     real = cli.kahler_detector
     monkeypatch.setattr(cli, "kahler_detector",
                         lambda sr: {**real(sr), "is_kahler": np.True_})
+    sr = solutions("so3_cp2")
     with pytest.raises(TypeError, match="bool"):
-        emit(solutions("so3_cp2"), tmp_path / "o")
+        emit(sr, tmp_path / "o", certificates(sr))
     assert not (tmp_path / "o").exists()
 
 
@@ -352,17 +373,31 @@ def test_report_command(capsys):
         assert "beta" in out and "chi" in out and "tau" in out
 
 
-def test_report_surfaces_diagnostic_errors(capsys, monkeypatch):
+def test_report_surfaces_diagnostic_errors(tmp_path, capsys, monkeypatch):
     # a diagram without endpoint constants still reports
     assert run(["report", "--diagram", "su2_s4"]) == EXIT_PASS
 
-    def broken(sr):
+    def broken(*args):
         raise ValueError("broken constants")
 
-    # any other ValueError from the diagnostics is not swallowed
+    # a ValueError from the diagnostics or from a shot is a defect, not a
+    # usage error: it propagates out of run, and main exits 4 with its traceback
     monkeypatch.setattr(cli, "invariant_constants", broken)
-    assert run(["report", "--diagram", "so3_s4"]) == EXIT_USAGE
-    assert "broken constants" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="broken constants"):
+        run(["report", "--diagram", "so3_s4"])
+    monkeypatch.undo()
+    monkeypatch.setattr(shooting, "shoot", broken)
+    with pytest.raises(ValueError, match="broken constants"):
+        run(["verify", "--diagram", "so3_s4", "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["c1einstein", "verify", "--diagram", "so3_s4",
+                                      "--out", str(tmp_path / "o")])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == EXIT_DEFECT
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("ValueError: broken constants\n")
 
 
 def test_config_keys_and_tol_reach_the_problem(tmp_path, monkeypatch):
@@ -414,6 +449,9 @@ def test_perturb_and_seed_reach_every_solving_command(tmp_path, monkeypatch, com
     ("solve", "rtol = nan\n", "got rtol = nan"),
     ("solve", "atol = -1e-13\n", "atol = -1e-13"),
     ("solve", "max_iter = -1\n", "max_iter must be at least 0, got -1"),
+    ("verify", "perturb = 0.01\nseed = -1\n", "expected non-negative integer"),
+    ("verify", "perturb = nan\n", "non-finite unknown vector"),
+    ("report", "perturb = 0.01\nmax_iter = 3\nmax_iter = 4\n", ":3: duplicate key 'max_iter'"),
 ])
 def test_a_config_that_breaks_the_solve_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                          command, config, shown):

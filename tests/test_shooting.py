@@ -76,6 +76,8 @@ def test_solve_rejects_a_negative_iteration_cap(monkeypatch):
         solve(_problem("so3_s4"), initial_guess("so3_s4"), max_iter=-1)
     monkeypatch.undo()
     assert solve(_problem("so3_s4"), initial_guess("so3_s4"), max_iter=0).n_iter == 0
+    # the shared rule the CLI checks a config with defaults to solve's options
+    assert shooting.check_solve_options.__defaults__ == solve.__defaults__
 
 
 @pytest.mark.parametrize("tol", [0.0, np.nan, -1e-9])
