@@ -109,7 +109,7 @@ def _write_csv(path, rows, header):
 def certificates(sr):
     """diagnostics.json's record, each certificate computed once and each check judged
     once: it passes when |value - target| < tol, so a NaN fails.  Commands only read it."""
-    # first, with no certificate held: its 4001-point evaluation sets the peak
+    # first, holding no certificate and no sr.curvature: its 4001-point evaluation sets the peak
     ratio = np.max([abs(v["eq_residual"]) for v in max_principle_check(sr).values()])
     tr = characteristic_numbers(sr)
     pr, dr, (chi, tau) = sr.problem, sr.drift, sr.diagram.chi_tau
@@ -143,13 +143,13 @@ def certificates(sr):
 
 
 def emit(sr, out_dir, record):
-    """Persist a converged solution: solution.csv, the trajectory's
-    diagnostics one row per sample (``_write_csv``), constants.txt, and
+    """Persist a converged solution: solution.csv, the curvature table
+    ``sr.curvature`` one row per sample (``_write_csv``), constants.txt, and
     diagnostics.json, the ``record`` of ``certificates``.  A value json
     cannot write raises TypeError, and no file is written."""
     text = json.dumps(record, indent=2, sort_keys=True)
     os.makedirs(out_dir, exist_ok=True)
-    d = sr.trajectory.diagnostics()
+    d = sr.curvature
     rows = np.column_stack([
         d["t"], d["f"], d["df"], d["L"], d["R"], d["A"], d["B"],
         d["a"], d["b"], d["constraint"],

@@ -8,6 +8,7 @@ one of the six conditions dependent, so five unknowns against six equations
 is a well-posed least-squares root find.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -155,6 +156,11 @@ class SolutionReport:
     def lam(self):
         return self.problem.lam
 
+    @functools.cached_property
+    def curvature(self):
+        """The trajectory's ``diagnostics()``, computed on the first read and kept."""
+        return self.trajectory.diagnostics()
+
 
 def shoot(pr: ShootingProblem, u, sides: Optional[dict] = None) -> Shot:
     """Build both germs, integrate both legs outward to the match point and
@@ -256,35 +262,26 @@ def _fd_steps(u):
     return _FD_STEP * (1.0 + np.abs(u))
 
 
-def _end_rows(pr, u, h):
-    """Each end with its rows of free values, in end.free order: u's own,
-    then one per germ-parameter column of that end, moved by its step in
-    ``h`` as the column's shot moves it."""
-    nl = len(pr.diagram.left.free)
-    for end, cols in ((pr.diagram.left, np.arange(nl)),
-                      (pr.diagram.right, np.arange(nl, len(u) - 1))):
-        rows = np.tile(u[cols], (len(cols) + 1, 1))
-        # a column moved past the largest float is inf (see _seeded_shot)
-        with np.errstate(over="ignore"):
-            rows[np.arange(1, len(cols) + 1), np.arange(len(cols))] += h[cols]
-        yield end, rows
-
-
 def _seeded_shot(pr, u):
     """``shoot(pr, u)`` from a side cache that already holds the germs of
-    its Jacobian: each end's germ and its columns' germs (``_end_rows``)
-    come from one batched staircase, and a mirror shot's right rows find
-    the left rows' germs.  An end with a row moved past the largest float,
-    or whose batch raises, seeds nothing and logs why at DEBUG; ``shoot``
-    then builds that end's germ alone, and each of its column shots its
-    own.  An inadmissible u seeds nothing.  The shot is ``shoot(pr, u)``'s,
-    bit for bit."""
+    its Jacobian: each end's germ and the germs of its columns' moved free
+    values come from one batched staircase, and a mirror shot's right rows
+    find the left rows' germs.  An end with a row moved past the largest
+    float, or whose batch raises, seeds nothing and logs why at DEBUG;
+    ``shoot`` then builds that end's germ alone, and each of its column
+    shots its own.  An inadmissible u seeds nothing.  The shot is
+    ``shoot(pr, u)``'s, bit for bit."""
     sides = {}
     try:
         pr.check_admissible(u)
     except AdmissibilityError:
         return shoot(pr, u, sides)
-    for name, (end, rows) in zip(("left", "right"), _end_rows(pr, u, _fd_steps(u))):
+    h, nl = _fd_steps(u), len(pr.diagram.left.free)
+    for name, end, cols in (("left", pr.diagram.left, np.arange(nl)),
+                            ("right", pr.diagram.right, np.arange(nl, len(u) - 1))):
+        rows = np.tile(u[cols], (len(cols) + 1, 1))
+        with np.errstate(over="ignore"):  # a column moved past the largest float is inf
+            rows[np.arange(1, len(cols) + 1), np.arange(len(cols))] += h[cols]
         keys = [_side_key(pr, end, row) for row in rows]
         new = [j for j, key in enumerate(keys) if key not in sides]
         if not new:
@@ -308,15 +305,13 @@ def _jacobian(pr: ShootingProblem, u, shot: Shot):
 
     When both of ``shot``'s legs reached the match point, the T column is
     the derivative of y_L(theta T) - y_R((1 - theta) T) * _MIRROR from the
-    legs' end slopes, and each moved side whose germ the cache holds (a
-    ``_seeded_shot`` seeded it) is first replayed into the copy: its germ
-    hands off at the offset of its end's leg in ``shot`` and replays that
-    leg's accepted steps, once per side, so a mirror shot's right columns
-    find the left ones' replays.  A replay that stops short of the match point, or whose
-    germ is not positive at the offset, is logged at DEBUG and not kept, so
-    only that column's shot integrates its side.  A penalised shot replays
-    nothing: its penalty's gradient lies in its legs' stop times, which a
-    replay would freeze."""
+    legs' end slopes, and each germ column's moved side, if ``shot``'s cache
+    holds its germ (a ``_seeded_shot`` seeded it) and the copy no leg of it
+    at its match distance, is first replayed into the copy (``_replay``).
+    So a mirror shot's right columns find the left ones' replays, or, where
+    a replay was not kept, the leg the left column's shot integrated.  A
+    penalised shot replays nothing: its penalty's gradient lies in its legs'
+    stop times, which a replay would freeze."""
     h = _fd_steps(u)
     J = np.empty((6, len(u)))
     sides, n = dict(shot.sides), len(u)
@@ -324,29 +319,35 @@ def _jacobian(pr: ShootingProblem, u, shot: Shot):
         n -= 1
         J[:, -1] = (pr.theta * shot.legs[0].dy[-1]
                     - (1.0 - pr.theta) * shot.legs[1].dy[-1] * _MIRROR)
-        kw = _leg_options(pr)
-        moved = {(_side_key(pr, end, row), reach): leg
-                 for (end, rows), leg, reach in zip(_end_rows(pr, u, h), shot.legs, shot.reach)
-                 for row in rows[1:]}
-        for (key, reach), leg in moved.items():
-            if key not in sides:
-                continue
-            germ, legs = sides[key]
-            try:
-                col = integrate_germ(germ, reach, replay=leg, **kw)
-            except GermConstructionError as exc:
-                _log.debug("a column's side is not replayed: %s", exc)
-                continue
-            if col.reason == "reached_target":
-                sides[key] = (germ, {**legs, reach: col})
-            else:
-                _log.debug("a column's side is not replayed: its replay stopped "
-                           "short of the match point (%s)", col.reason)
     for i in range(n):
         up = u.copy()
         up[i] += h[i]
+        if shot.failure is None:  # a germ column, keyed as its shot looks its side up
+            side = int(i >= len(pr.diagram.left.free))
+            key = _side_key(pr, (pr.diagram.left, pr.diagram.right)[side],
+                            list(pr.split(up)[side].values()))
+            if key in shot.sides and shot.reach[side] not in sides[key][1]:
+                _replay(pr, sides, key, shot.reach[side], shot.legs[side])
         J[:, i] = (match_residual(pr, up, sides) - shot.residual) / h[i]
     return J
+
+
+def _replay(pr, sides, key, reach, leg):
+    """Replay ``leg`` into ``sides`` from the germ of side ``key``, handing off
+    at ``leg``'s offset and taking its accepted steps.  A replay that stops
+    short of ``reach``, or whose germ is not positive at the offset, is
+    logged at DEBUG and not kept."""
+    germ, legs = sides[key]
+    try:
+        col = integrate_germ(germ, reach, replay=leg, **_leg_options(pr))
+    except GermConstructionError as exc:
+        _log.debug("a column's side is not replayed: %s", exc)
+        return
+    if col.reason == "reached_target":
+        sides[key] = (germ, {**legs, reach: col})
+    else:
+        _log.debug("a column's side is not replayed: its replay stopped "
+                   "short of the match point (%s)", col.reason)
 
 
 def check_solve_options(max_iter=40, tol=1e-9):

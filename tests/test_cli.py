@@ -173,8 +173,10 @@ def test_verify_does_not_import_numpy_random(tmp_path):
 def test_verify_out_integrates_the_curvature_once(tmp_path, monkeypatch):
     # each command builds one record: every certificate, the ratio check and
     # the endpoint constants run once, and the trajectory's curvature is
-    # computed by drift_report in solve, the record's Kaehler test and eigen
-    # gaps, and emit's CSV rows
+    # computed twice: by drift_report in solve, and once for the solution
+    # (sr.curvature), which the record's eigen gaps and Kaehler test and
+    # emit's CSV rows read.  That table is first built after the ratio check
+    # and the quadrature, whose evaluations set the memory peak
     calls = []
 
     def counting(name, fn):
@@ -190,10 +192,13 @@ def test_verify_out_integrates_the_curvature_once(tmp_path, monkeypatch):
     monkeypatch.setattr(integrator.Trajectory, "diagnostics",
                         counting("diagnostics", integrator.Trajectory.diagnostics))
     argv = ["--diagram", "su2_cp2", "--out"]
-    for command, n_curvature in (("verify", 4), ("solve", 4), ("report", 3)):
+    for command in ("verify", "solve", "report"):
         calls.clear()
         assert run([command] + argv + [str(tmp_path / command)]) == EXIT_PASS
-        assert sorted(calls) == sorted(once + ["diagnostics"] * n_curvature), command
+        assert sorted(calls) == sorted(once + ["diagnostics"] * 2), command
+        last = len(calls) - 1 - calls[::-1].index("diagnostics")
+        assert last > calls.index("max_principle_check"), command
+        assert last > calls.index("characteristic_numbers"), command
     for name in ("diagnostics.json", "constants.txt", "solution.csv"):
         assert ((tmp_path / "verify" / name).read_bytes()
                 == (tmp_path / "solve" / name).read_bytes()), name

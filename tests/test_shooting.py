@@ -527,25 +527,33 @@ def _failing_batch(end, free, *args, **kw):
     return germs.series_solve(end, free, *args, **kw)
 
 
-@pytest.mark.parametrize("column,stop,why", [
-    (3, "step_failure", "its replay stopped short of the match point (step_failure)"),
-    (0, germs.GermConstructionError("germ is not positive at offset 0.01"),
-     "germ is not positive at offset 0.01")], ids=["stopped", "not_positive"])
-def test_a_column_that_cannot_be_replayed_is_a_column_shot(monkeypatch, caplog,
+@pytest.mark.parametrize("case_id,column,stop,why", [
+    ("su2_cp2", 3, "step_failure", "its replay stopped short of the match point (step_failure)"),
+    ("su2_cp2", 0, germs.GermConstructionError("germ is not positive at offset 0.01"),
+     "germ is not positive at offset 0.01"),
+    ("su2_cp2bar", 0, "step_failure",
+     "its replay stopped short of the match point (step_failure)")],
+    ids=["stopped", "not_positive", "mirror"])
+def test_a_column_that_cannot_be_replayed_is_a_column_shot(monkeypatch, caplog, case_id,
                                                           column, stop, why):
     # one replay stops short, or its germ is not positive at the base
     # offset: only that column is a fresh shot's difference, bit for bit;
     # the others keep their replays' bits, the T column its end slopes, and
-    # the log says why
-    pr = _problem("su2_cp2")
-    u = initial_guess("su2_cp2")
+    # the log says why.  On a mirror diagram the left columns' sides are
+    # the right ones': the side whose replay is not kept is tried once, and
+    # the right column's shot finds the leg the left column's shot
+    # integrated, so it is a fresh shot's difference too and builds no leg
+    pr = _problem(case_id)
+    u = initial_guess(case_id)
     shot = shooting._seeded_shot(pr, u)
     replayed = shooting._jacobian(pr, u, shot)
     real = shooting.integrate_germ
-    replays = []
+    replays, built = [], []
 
     def failing(*args, replay=None, **kw):
-        if replay is not None:
+        if replay is None:
+            built.append(args)
+        else:
             replays.append(replay)
             if len(replays) == column + 1:
                 if isinstance(stop, Exception):
@@ -557,12 +565,14 @@ def test_a_column_that_cannot_be_replayed_is_a_column_shot(monkeypatch, caplog,
     with caplog.at_level(logging.DEBUG, logger="c1einstein"):
         J = shooting._jacobian(pr, u, shot)
     monkeypatch.undo()
-    assert len(replays) == 4
+    mirror = case_id in MIRRORS
+    assert len(replays) == (2 if mirror else 4) and len(built) == 1
     assert [r.getMessage() for r in caplog.records] == [
         f"a column's side is not replayed: {why}"]
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
-    _assert_column_shots(pr, u, shot, J, [column])
-    others = [i for i in range(5) if i != column]
+    fresh = [column, column + 2] if mirror else [column]
+    _assert_column_shots(pr, u, shot, J, fresh)
+    others = [i for i in range(5) if i not in fresh]
     assert np.array_equal(J[:, others], replayed[:, others])
     assert np.array_equal(J[:, -1], _slope_t_column(pr, shot))
 
