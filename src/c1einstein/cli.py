@@ -144,18 +144,13 @@ def certificates(sr):
 
 def emit(sr, out_dir, record):
     """Persist a converged solution: solution.csv, the curvature table
-    ``sr.curvature`` one row per sample (``_write_csv``), constants.txt, and
-    diagnostics.json, the ``record`` of ``certificates``.  A value json
-    cannot write raises TypeError, and no file is written."""
+    ``sr.curvature`` one row per sample, its columns in the table's order
+    (``CSV_HEADER``), constants.txt, and diagnostics.json, the ``record`` of
+    ``certificates``.  A value json cannot write raises TypeError, and no file is written."""
     text = json.dumps(record, indent=2, sort_keys=True)
     os.makedirs(out_dir, exist_ok=True)
-    d = sr.curvature
-    rows = np.column_stack([
-        d["t"], d["f"], d["df"], d["L"], d["R"], d["A"], d["B"],
-        d["a"], d["b"], d["constraint"],
-    ])
     csv_path = os.path.join(out_dir, "solution.csv")
-    _write_csv(csv_path, rows, CSV_HEADER)
+    _write_csv(csv_path, np.column_stack(list(sr.curvature.values())), CSV_HEADER)
 
     const_path = os.path.join(out_dir, "constants.txt")
     free = {**{f"left.{k}": v for k, v in sr.left_free.items()},

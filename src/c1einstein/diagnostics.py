@@ -89,7 +89,7 @@ def invariant_constants(sr: SolutionReport) -> InvariantConstants:
     vals = {}
     for end, free in ((d.left, sr.left_free), (d.right, sr.right_free)):
         if end.fixes is not None:
-            x = lam * free[end.free[0]] ** 2
+            x = lam * free[end.lengths[0]] ** 2
             vals[end.fixes] = 8.0 - x if end.fixes == "delta" else x
         if end.k:  # only an orbifold end has a cone order
             vals["theta_k"] = 4.0 + 8.0 / end.k

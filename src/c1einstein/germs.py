@@ -79,6 +79,12 @@ class EndCondition:
     k: int = 0
     fixes: Optional[str] = None  # "alpha", "beta", "delta" or None
 
+    @property
+    def lengths(self):
+        """The free parameters that are lengths, so positive: an end with a pair has its
+        common value at the orbit (h or q) as its first free parameter, a fixed point none."""
+        return self.free[:1] if self.pair else ()
+
 
 @dataclass(frozen=True)
 class GroupDiagram:
@@ -95,8 +101,7 @@ class GroupDiagram:
         return f"{self.case_id}(k={self.k})" if self.k else self.case_id
 
 
-def _fixed_point():
-    return EndCondition("fixed_point", (0, 1, 2), 1.0, (), ("da", "db"))
+_FIXED_POINT = EndCondition("fixed_point", (0, 1, 2), 1.0, (), ("da", "db"))
 
 
 def _mirror(a, b, c):
@@ -117,14 +122,14 @@ def _orbifold(a, b, c, k):
 
 _CATALOG = {
     "su2_s4": GroupDiagram(
-        "su2_s4", _fixed_point(), _fixed_point(), TWO_PI2, chi_tau=(2, 0)
+        "su2_s4", _FIXED_POINT, _FIXED_POINT, TWO_PI2, chi_tau=(2, 0)
     ),
     "so3_s4": GroupDiagram(
         "so3_s4", _mirror(0, 1, 2), _mirror(1, 2, 0), np.pi**2 / 4.0, chi_tau=(2, 0)
     ),
     # the circle end is conic here; on su2_cp2bar q is only a circle radius
     "su2_cp2": GroupDiagram(
-        "su2_cp2", _fixed_point(), replace(_circle(2, 0, 1), fixes="beta"),
+        "su2_cp2", _FIXED_POINT, replace(_circle(2, 0, 1), fixes="beta"),
         TWO_PI2, chi_tau=(3, 1)
     ),
     # the conic end is a mirror end whose pair value h fixes beta; delta
@@ -147,10 +152,8 @@ DIAGRAM_IDS = tuple(_CATALOG) + ("so3_hitchin",)
 
 def get_diagram(case_id, k=0) -> GroupDiagram:
     if case_id == "so3_hitchin":
-        if not isinstance(k, numbers.Integral):
-            raise ValueError(f"so3_hitchin requires an integer cone order k, got k = {k!r}")
-        if k < 1:
-            raise ValueError("so3_hitchin requires k >= 1")
+        if not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"so3_hitchin requires an integer cone order k >= 1, got k = {k!r}")
         if k == 1:
             return replace(_CATALOG["so3_s4"], case_id="so3_hitchin", k=1)
         # orbifold chi, tau: Kawasaki, Nagoya Math. J. 84 (1981); Hitchin, JDG 42 (1995)
@@ -217,15 +220,16 @@ def _structure(end: EndCondition, order: int) -> _Structure:
         base[a, 1] = end.slope
         for n in range(3, N + 1, 2):
             add(f"c{a + 1},{n}", n, (a, n, 1.0))
-    b, c = end.pair or (None, None)
+    if end.pair:  # the pair's common value at the orbit, the end's length
+        b, c = end.pair
+        add(f"c{b + 1},0", 0, (b, 0, 1.0), (c, 0, 1.0))
     if end.kind == "fixed_point":
         pins = ("c1,3", "c2,3")
     elif end.kind == "mirror":
-        for n in range(N + 1):
+        for n in range(1, N + 1):
             add(f"c{b + 1},{n}", n, (b, n, 1.0), (c, n, (-1.0) ** n))
         pins = (f"c{b + 1},0", f"c{b + 1},1")
     elif end.kind in ("even_pair", "circle"):
-        add("q", 0, (b, 0, 1.0), (c, 0, 1.0))
         lo = 2
         if end.kind == "circle":
             add("e2", 2, (b, 2, 1.0), (c, 2, 1.0))
@@ -233,14 +237,13 @@ def _structure(end: EndCondition, order: int) -> _Structure:
         for n in range(lo, N + 1, 2):
             for i in (b, c):
                 add(f"c{i + 1},{n}", n, (i, n, 1.0))
-        pins = ("q", f"c{c + 1},{lo}")
+        pins = (f"c{b + 1},0", f"c{c + 1},{lo}")
     elif end.kind == "orbifold":
-        add("q", 0, (b, 0, 1.0), (c, 0, 1.0))
         for n in range(2, N + 1, 2):
             add(f"p{n}", n, (b, n, 1.0), (c, n, 1.0))
         for n in range(end.k, N + 1, 2):
             add(f"w{n}", n, (b, n, 1.0), (c, n, -1.0))
-        pins = ("q", f"w{end.k}")
+        pins = (f"c{b + 1},0", f"w{end.k}")
     else:
         raise ValueError(f"unknown end kind {end.kind!r}")
 
@@ -405,6 +408,7 @@ def _staircase(st, values, determined, lam):
 
 # the germ's validity window is (0, _RADIUS] in its local coordinate
 _RADIUS = 0.5
+GERM_ORDER = 8  # the order of a germ, and of a problem's germs, unless one is named
 
 
 @dataclass(frozen=True)
@@ -422,10 +426,8 @@ class SeriesGerm:
         if np.any(t > _RADIUS) or np.any(t <= 0.0):
             raise ValueError(f"t outside germ validity window (0, {_RADIUS}]")
         powers = t[..., None, None] ** np.arange(self.order + 1)
-        f = np.sum(self.coeffs * powers, axis=-1)
-        dcoef = _pder(self.coeffs)
-        df = np.sum(dcoef * powers[..., :-1], axis=-1)
-        return f, df
+        return (np.sum(self.coeffs * powers, axis=-1),
+                np.sum(_pder(self.coeffs) * powers[..., :-1], axis=-1))
 
     def eval_second(self, t):
         t = np.asarray(t, dtype=float)
@@ -434,7 +436,13 @@ class SeriesGerm:
         return np.sum(dd * powers, axis=-1)
 
 
-def series_solve(end: EndCondition, free, lam, order=8):
+def check_germ_order(order):
+    """ValueError unless ``order`` is an integer of at least 4."""
+    if not isinstance(order, numbers.Integral) or order < 4:
+        raise ValueError(f"germ order must be an integer of at least 4, got {order!r}")
+
+
+def series_solve(end: EndCondition, free, lam, order=GERM_ORDER):
     """Construct the Taylor germ with the given free-parameter values.
 
     free: mapping of the end's free parameter names to values, or a sequence
@@ -442,8 +450,7 @@ def series_solve(end: EndCondition, free, lam, order=8):
     come back as a tuple from one staircase over the rows, each the germ its
     row builds alone, bit for bit.
     """
-    if order < 4:
-        raise ValueError("germ order must be at least 4")
+    check_germ_order(order)
     if not np.isfinite(lam):
         raise ValueError(f"Einstein constant must be finite, got lam = {lam}")
     frees = free if np.ndim(free) == 2 else [free]  # a batch, or one germ's values
@@ -457,7 +464,7 @@ def series_solve(end: EndCondition, free, lam, order=8):
         for name, v in f.items():
             if not np.isfinite(v):
                 raise ValueError(f"germ parameter {name} must be finite, got {v}")
-            if name in ("h", "q") and v <= 0.0:
+            if name in end.lengths and v <= 0.0:
                 raise ValueError(f"germ parameter {name} must be positive, got {v}")
             row[st.free_slots[name]] = v
     determined[list(st.free_slots.values())] = True
@@ -512,15 +519,13 @@ def indicial_eigenvalues(Q):
 
 def indicial_catalog(k=2):
     """The 2x2 indicial matrices arising at the singular orbits."""
-    half = 0.5
-
     def sym(p, q):
         return np.array([[p, q], [q, p]])
 
     return {
-        "s4_A_pair": sym(-half, 3 * half),  # A2,A3 at the RP^2 end of S^4
-        "s4_F_pair": sym(-3 * half, 3 * half),  # F2,F3 gaps at the RP^2 end of S^4
-        "cp2_B_pair": sym(-half, 3 * half),  # B1,B2 at the conic end of CP^2
+        "s4_A_pair": sym(-0.5, 1.5),  # A2,A3 at the RP^2 end of S^4
+        "s4_F_pair": sym(-1.5, 1.5),  # F2,F3 gaps at the RP^2 end of S^4
+        "cp2_B_pair": sym(-0.5, 1.5),  # B1,B2 at the conic end of CP^2
         "s2xs2_A_pair": sym(-1.0, 2.0),  # A1,A2 at an S^2 end of S^2xS^2
         "hitchin_B_pair": sym(-k / 2.0, (k + 2) / 2.0),  # B1,B3 at the O_k orbifold end
         "hitchin_E_pair": sym(-(k + 2) / 2.0, (k + 2) / 2.0),  # E1,E3 gaps at the O_k end

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .germs import GermConstructionError, GroupDiagram, series_solve
+from .germs import GERM_ORDER, GermConstructionError, GroupDiagram, check_germ_order, series_solve
 from .integrator import HandoffError, Trajectory, check_tolerances, drift_report, integrate_germ
 
 __all__ = [
@@ -60,7 +60,7 @@ class ShootingProblem:
     diagram: GroupDiagram
     lam: float = 3.0
     theta: float = 0.5
-    germ_order: int = 8
+    germ_order: int = GERM_ORDER
     rtol: float = 1e-11
     atol: float = 1e-13
 
@@ -70,26 +70,30 @@ class ShootingProblem:
         if not 0.0 < self.theta < 1.0:
             raise ValueError("match fraction theta must be in (0, 1)")
         check_tolerances(self.rtol, self.atol)
-        n_unknowns = len(self.diagram.left.free) + len(self.diagram.right.free) + 1
+        check_germ_order(self.germ_order)
         # 6 match conditions, one made dependent by the first integral
-        if n_unknowns != 5:
-            raise ValueError(
-                f"unknown count {n_unknowns} does not close the 6-condition match"
-            )
+        if len(self.unknown_names) != 5:
+            raise ValueError(f"unknown count {len(self.unknown_names)} "
+                             "does not close the 6-condition match")
 
-    @property
+    @functools.cached_property
+    def layout(self):
+        """The unknown vector's layout by end: (end condition, its free values' column
+        range) for the left end, then the right; the last column is T."""
+        nl = len(self.diagram.left.free)
+        return ((self.diagram.left, range(nl)),
+                (self.diagram.right, range(nl, nl + len(self.diagram.right.free))))
+
+    @functools.cached_property
     def unknown_names(self):
-        return (tuple(f"L.{n}" for n in self.diagram.left.free)
-                + tuple(f"R.{n}" for n in self.diagram.right.free) + ("T",))
+        return tuple(f"{s}.{n}" for s, (end, _) in zip("LR", self.layout)
+                     for n in end.free) + ("T",)
 
     def split(self, u):
         u = np.asarray(u, dtype=float)
-        nl = len(self.diagram.left.free)
-        nr = len(self.diagram.right.free)
-        if u.shape != (nl + nr + 1,):
-            raise ValueError(f"unknown vector must have length {nl + nr + 1}")
-        left = dict(zip(self.diagram.left.free, u[:nl]))
-        right = dict(zip(self.diagram.right.free, u[nl:nl + nr]))
+        if u.shape != (len(self.unknown_names),):
+            raise ValueError(f"unknown vector must have length {len(self.unknown_names)}")
+        left, right = (dict(zip(end.free, u[cols])) for end, cols in self.layout)
         return left, right, float(u[-1])
 
     def check_admissible(self, u):
@@ -98,12 +102,11 @@ class ShootingProblem:
             raise AdmissibilityError("non-finite unknown vector")
         if T <= 0.0:
             raise AdmissibilityError(f"interval length T = {T} must be positive")
-        for side, vals in (("left", left), ("right", right)):
-            for name in ("h", "q"):
-                if name in vals and vals[name] <= 0.0:
-                    raise AdmissibilityError(
-                        f"{side} germ parameter {name} = {vals[name]} must be positive"
-                    )
+        for side, (end, _), vals in zip(("left", "right"), self.layout, (left, right)):
+            for name in end.lengths:
+                if vals[name] <= 0.0:
+                    raise AdmissibilityError(f"{side} germ parameter {name} = "
+                                             f"{vals[name]} must be positive")
         return left, right, T
 
 
@@ -188,8 +191,8 @@ def shoot(pr: ShootingProblem, u, sides: Optional[dict] = None) -> Shot:
     try:
         left, right, T = pr.check_admissible(u)
         reach = (pr.theta * T, (1.0 - pr.theta) * T)
-        germs, legs = zip(*(_side(pr, sides, end, free, r) for end, free, r in
-                            zip((pr.diagram.left, pr.diagram.right), (left, right), reach)))
+        germs, legs = zip(*(_side(pr, sides, end, free, r) for (end, _), free, r in
+                            zip(pr.layout, (left, right), reach)))
     except tuple(failures) as exc:
         return Shot((), (), np.full(6, _PENALTY), failure=failures[type(exc)], sides=sides)
     short = 0.0
@@ -276,9 +279,8 @@ def _seeded_shot(pr, u):
         pr.check_admissible(u)
     except AdmissibilityError:
         return shoot(pr, u, sides)
-    h, nl = _fd_steps(u), len(pr.diagram.left.free)
-    for name, end, cols in (("left", pr.diagram.left, np.arange(nl)),
-                            ("right", pr.diagram.right, np.arange(nl, len(u) - 1))):
+    h = _fd_steps(u)
+    for name, (end, cols) in zip(("left", "right"), pr.layout):
         rows = np.tile(u[cols], (len(cols) + 1, 1))
         with np.errstate(over="ignore"):  # a column moved past the largest float is inf
             rows[np.arange(1, len(cols) + 1), np.arange(len(cols))] += h[cols]
@@ -314,20 +316,18 @@ def _jacobian(pr: ShootingProblem, u, shot: Shot):
     stop times, which a replay would freeze."""
     h = _fd_steps(u)
     J = np.empty((6, len(u)))
-    sides, n = dict(shot.sides), len(u)
+    sides = dict(shot.sides)
     if shot.failure is None:
-        n -= 1
         J[:, -1] = (pr.theta * shot.legs[0].dy[-1]
                     - (1.0 - pr.theta) * shot.legs[1].dy[-1] * _MIRROR)
-    for i in range(n):
+    for i in range(len(u) - (shot.failure is None)):  # a failed shot's T column too
         up = u.copy()
         up[i] += h[i]
-        if shot.failure is None:  # a germ column, keyed as its shot looks its side up
-            side = int(i >= len(pr.diagram.left.free))
-            key = _side_key(pr, (pr.diagram.left, pr.diagram.right)[side],
-                            list(pr.split(up)[side].values()))
-            if key in shot.sides and shot.reach[side] not in sides[key][1]:
-                _replay(pr, sides, key, shot.reach[side], shot.legs[side])
+        for side, (end, cols) in enumerate(pr.layout):
+            if shot.failure is None and i in cols:  # keyed as its shot looks its side up
+                key = _side_key(pr, end, up[cols])
+                if key in shot.sides and shot.reach[side] not in sides[key][1]:
+                    _replay(pr, sides, key, shot.reach[side], shot.legs[side])
         J[:, i] = (match_residual(pr, up, sides) - shot.residual) / h[i]
     return J
 

@@ -5,6 +5,7 @@ Frozen germ parameter values below come from the closed-form profiles
 rescaled to lambda = 3; see c1einstein.oracles.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -278,6 +279,25 @@ def test_series_solve_validates_inputs():
         series_solve(end, {"h": 1.0, "nope": 0.0}, 3.0)
     with pytest.raises(ValueError):
         series_solve(end, {"h": 1.0, "c": 0.0}, 3.0, order=2)
+    for order in (3, -1, 8.5):
+        with pytest.raises(ValueError, match=re.escape(
+                f"germ order must be an integer of at least 4, got {order}")):
+            series_solve(end, {"h": 1.0, "c": 0.0}, 3.0, order=order)
+    # the length of an even_pair, a circle and an orbifold end must be
+    # positive; a negative value of a free parameter that is no length
+    # builds: mirror c, circle d4, orbifold w and fixed-point da
+    for case_id, k, side in (("so3_s2xs2", 0, "left"), ("su2_cp2bar", 0, "left"),
+                             ("so3_hitchin", 3, "right")):
+        end = getattr(get_diagram(case_id, k), side)
+        for q in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"germ parameter q must be positive, got {q}"):
+                series_solve(end, {"q": q, end.free[1]: 0.5}, 3.0)
+    for case_id, k, side, free in (("so3_s4", 0, "right", {"h": 2 * S3, "c": -2.0}),
+                                   ("su2_cp2bar", 0, "left", {"q": 1.07, "d4": -0.14}),
+                                   ("so3_hitchin", 3, "right", {"q": 2.58, "w": -0.6}),
+                                   ("su2_s4", 0, "left", {"da": -1 / 6, "db": -1 / 6})):
+        end = getattr(get_diagram(case_id, k), side)
+        assert series_solve(end, free, 3.0).order == 8
 
 
 def test_series_solve_rejects_an_unknown_end_kind():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -124,9 +125,13 @@ def test_the_csv_writer_writes_savetxts_bytes(tmp_path, n_rows):
 
 
 def test_csv_header_matches_diagnostics_layout():
-    names = CSV_HEADER.split(",")
-    assert len(names) == 26
-    assert names[0] == "t" and names[-1] == "constraint"
+    # the curvature table's keys in its order, one name per component
+    y = np.full((2, 6), 1.5)
+    table = integrator.Trajectory(np.array([0.1, 0.2]), y, y, 3.0, "reached_target", 0).diagnostics()
+    names = []
+    for key, col in table.items():
+        names += [key] if col.ndim == 1 else [f"{key}{j}" for j in range(1, col.shape[1] + 1)]
+    assert CSV_HEADER.split(",") == names and len(names) == 26
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,21 @@ def test_verify_does_not_import_numpy_random(tmp_path):
     out = subprocess.run([sys.executable, "-c", _VERIFY_SCRIPT, str(tmp_path / "o")],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == f"{EXIT_PASS} False"
+
+
+def test_no_module_outgrows_the_compilers_token_step():
+    # the parser's token array grows by doubling, so a module past 4,096
+    # tokens (comments and blank lines are none) makes it allocate 4,096
+    # more: on Python 3.11 its compile peaks 256 KB higher, past the
+    # benchmark's 0.1 MB peak_rss_mb bound, and a console script run
+    # without bytecode compiles every module on each start
+    src = Path(cli.__file__).parent
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    for path in sorted(src.glob("*.py")):
+        with open(path, "rb") as fh:
+            n = sum(tok.type not in skipped for tok in tokenize.tokenize(fh.readline))
+        assert n <= 4096, (f"{path.name} has {n} tokens, past the compile step at 4,096 "
+                           "that costs peak_rss_mb 256 KB: cut it or split it")
 
 
 def test_verify_out_integrates_the_curvature_once(tmp_path, monkeypatch):

@@ -52,6 +52,12 @@ def test_lam_must_be_finite():
     for lam in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=f"got lam = {lam}"):
             _problem("su2_s4", lam=lam)
+    # a germ order no germ is built to is rejected too, when the problem
+    # is built rather than by its first shot's germs
+    for order in (3, -1, 8.5):
+        with pytest.raises(ValueError, match=re.escape(
+                f"germ order must be an integer of at least 4, got {order}")):
+            _problem("so3_s4", germ_order=order)
 
 
 @pytest.mark.parametrize("kw", [
@@ -119,6 +125,23 @@ def test_admissibility_checks():
     # inadmissible vectors produce the penalty residual, not an exception
     r = match_residual(pr, [2.0, -1.0, 2.0, 1.0, -0.5])
     assert np.all(r >= 1e3)
+    # the length of an even_pair, a circle and an orbifold end (its q, the
+    # column given) must be positive too
+    for case_id, k, col, side in (("so3_s2xs2", 0, 2, "right"), ("su2_cp2bar", 0, 0, "left"),
+                                  ("so3_hitchin", 3, 2, "right")):
+        for q in (0.0, -1.0):
+            u = initial_guess(case_id, k)
+            u[col] = q
+            with pytest.raises(AdmissibilityError,
+                               match=f"{side} germ parameter q = {q} must be positive"):
+                _problem(case_id, k).check_admissible(u)
+    # a negative value of a free parameter that is no length is admissible:
+    # mirror c, circle d4, orbifold w and fixed-point da
+    for case_id, k, col in (("so3_s4", 0, 3), ("su2_cp2bar", 0, 1), ("so3_hitchin", 3, 3),
+                            ("su2_s4", 0, 0)):
+        u = initial_guess(case_id, k)
+        u[col] = -abs(u[col]) - 0.1
+        assert _problem(case_id, k).check_admissible(u)[2] == u[-1]
 
 
 def test_failed_shots_say_why():
